@@ -65,14 +65,15 @@ STAGE_DEPS = "deps"
 STAGE_RANK = "rank"
 STAGE_CONFLICT = "conflict"
 STAGE_OK = "ok"
+# Stage codes as small ints for the vectorized funnel, in the same order.
+_STAGE_BY_CODE = (STAGE_DEPS, STAGE_RANK, STAGE_CONFLICT, STAGE_OK)
+_CODE_CONFLICT, _CODE_OK = 2, 3
 
 #: Candidates evaluated per vectorized batch (before the memory cap).
 DEFAULT_BATCH_SIZE = 512
 # Cap on points x candidates cells materialized per conflict-image
-# chunk (~32 MB of int64), and on the box size the vectorized ring
-# generator will materialize before falling back to the lazy walker.
+# chunk (~32 MB of int64).
 _BATCH_CELL_LIMIT = 4_194_304
-_BOX_ENUM_LIMIT = 2_000_000
 # Rings with budgets beyond this stay on the scalar path: the int64
 # sort keys and |pi_i| entries are only certified below it.
 _BATCH_MAX_BOUND = 2**31
@@ -179,7 +180,8 @@ def enumerate_schedule_vectors(
     Lazy depth-first enumeration with exact budget pruning; the zero
     vector is excluded (it is never a valid schedule).  Order within
     the ring is deterministic but unsorted — Procedure 5.1 sorts by
-    execution time afterwards.
+    execution time afterwards.  The scalar scan walks rings with it, and
+    it is the oracle for the vectorized :func:`ring_candidate_array`.
     """
     mu = [int(m) for m in mu]
     n = len(mu)
@@ -212,37 +214,68 @@ def enumerate_schedule_vectors(
     yield from walker([], 0, 0)
 
 
+def _shell_magnitudes(
+    mu: tuple[int, ...], f_max: int, f_min: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every ``|Pi|`` with ``f_min <= sum a_i mu_i <= f_max``, and its ``f``.
+
+    Built coordinate by coordinate: each prefix (with budget ``spent``)
+    fans out into ``0 .. (f_max - spent) // mu_i`` via ``np.repeat``.
+    The coordinate with the smallest ``mu`` goes last, where its range
+    is solved directly for the shell, so only the ``(n-1)``-dimensional
+    ball of prefixes is ever materialized.
+    """
+    n = len(mu)
+    order = sorted(range(n), key=lambda j: (-mu[j], j))
+    mags = np.zeros((1, 0), dtype=np.int64)
+    spent = np.zeros(1, dtype=np.int64)
+    for pos, j in enumerate(order):
+        m = mu[j]
+        hi = (f_max - spent) // m
+        if pos < n - 1:
+            lo = np.zeros_like(hi)
+        else:
+            lo = np.maximum(0, -((spent - f_min) // m))  # ceil((f_min - spent) / m)
+        counts = np.maximum(hi - lo + 1, 0)
+        starts = np.cumsum(counts) - counts
+        vals = np.arange(int(counts.sum()), dtype=np.int64) - np.repeat(
+            starts - lo, counts
+        )
+        mags = np.concatenate(
+            [np.repeat(mags, counts, axis=0), vals[:, None]], axis=1
+        )
+        spent = np.repeat(spent, counts) + vals * m
+    return mags[:, np.argsort(order)], spent
+
+
 @lru_cache(maxsize=8)
 def _ring_candidate_array_cached(
     mu: tuple[int, ...], f_max: int, f_min: int
 ) -> np.ndarray:
     n = len(mu)
-    mu_arr = np.array(mu, dtype=np.int64)
-    tops = [f_max // m for m in mu] if f_max >= 0 else [0] * n
-    box = 1
-    for t in tops:
-        box *= 2 * t + 1
-    if 0 < box <= _BOX_ENUM_LIMIT and n > 0:
-        # Vectorized generation: materialize the bounding box and mask
-        # the ring out of it — the same candidate set the lazy walker
-        # produces, an order of magnitude faster on large rings.
-        axes = [np.arange(-t, t + 1, dtype=np.int64) for t in tops]
-        grid = np.meshgrid(*axes, indexing="ij")
-        pis = np.stack([g.ravel() for g in grid], axis=1)
-        f = np.abs(pis) @ mu_arr
-        mask = (f >= f_min) & (f <= f_max) & (pis != 0).any(axis=1)
-        pis = pis[mask]
-        f = f[mask]
-    else:
-        listed = list(enumerate_schedule_vectors(mu, f_max, f_min=f_min))
-        pis = np.array(listed, dtype=np.int64).reshape(len(listed), n)
-        f = np.abs(pis) @ mu_arr
-    if len(pis):
-        # np.lexsort sorts by its *last* key first: primary key f
-        # (total time), then the vector entries lexicographically —
-        # exactly LinearSchedule.sort_key order.
-        keys = tuple(pis[:, j] for j in range(n - 1, -1, -1)) + (f,)
-        pis = np.ascontiguousarray(pis[np.lexsort(keys)])
+    if n == 0 or f_max < max(f_min, 1):
+        pis = np.empty((0, n), dtype=np.int64)
+        pis.setflags(write=False)
+        return pis
+    # f >= 1 excludes exactly the zero vector (every mu_i >= 1).
+    mags, f = _shell_magnitudes(mu, f_max, max(f_min, 1))
+    # Signs: one mask per sign pattern, keeping only the vectors whose
+    # negated entries are all non-zero (so no vector appears twice).
+    nz = mags != 0
+    parts: list[np.ndarray] = []
+    f_parts: list[np.ndarray] = []
+    for pattern in range(1 << n):
+        neg = np.array([pattern >> j & 1 for j in range(n)], dtype=bool)
+        keep = nz[:, neg].all(axis=1)
+        parts.append(np.where(neg, -mags[keep], mags[keep]))
+        f_parts.append(f[keep])
+    pis = np.concatenate(parts)
+    f = np.concatenate(f_parts)
+    # np.lexsort sorts by its *last* key first: primary key f (total
+    # time), then the vector entries lexicographically — exactly
+    # LinearSchedule.sort_key order.
+    keys = tuple(pis[:, j] for j in range(n - 1, -1, -1)) + (f,)
+    pis = np.ascontiguousarray(pis[np.lexsort(keys)])
     pis.setflags(write=False)
     return pis
 
@@ -254,7 +287,10 @@ def ring_candidate_array(
 
     Same candidate set as :func:`enumerate_schedule_vectors`, already in
     Procedure 5.1's documented scan order — primary key total execution
-    time, ties broken lexicographically on the vector.  Cached (the
+    time, ties broken lexicographically on the vector.  Generated as a
+    shell: only the magnitude vectors with ``f_min <= f <= f_max`` are
+    built, then expanded over their sign patterns, so a ring costs its
+    own size rather than the ball or box around it.  Cached (the
     sharded engine re-derives a ring inside every worker that holds one
     of its slices); callers must treat the array as immutable.
     """
@@ -275,7 +311,10 @@ class BatchCandidateScanner:
     :func:`~repro.core.conditions.check_conflict_free` path.  Produces
     the same per-candidate stage code the scalar loop would, in the same
     order — callers rebuild identical counters and pick the identical
-    winner.
+    winner.  Two ways to drive it: :meth:`iter_stages` yields one stage
+    code per candidate of a ring slice (the shard workers), while
+    :meth:`scan_ring` runs the funnel on whole-ring masks and screens
+    only the deps+rank survivors (the serial search).
 
     Only valid where :func:`batch_supported` holds; the screen *is* the
     exact conflict decider there.
@@ -321,7 +360,7 @@ class BatchCandidateScanner:
             symmetry if symmetry is not None and symmetry.order > 1 else None
         )
         self.min_feasible_f = min_feasible_f
-        self._orbit_memo: dict[tuple[int, ...], str] = {}
+        self._orbit_memo: dict[tuple[int, ...], int] = {}
         self._mu_arr = np.array([int(m) for m in algorithm.mu], dtype=np.int64)
         self.n = algorithm.n
         self.k = len(self.space_rows) + 1
@@ -374,113 +413,156 @@ class BatchCandidateScanner:
         self._col_thr = INT64_MAX if bound == 0 else INT64_MAX // bound
         self._conflict_ready = True
 
-    def _scalar_conflict(self, pi_row: np.ndarray) -> str:
+    def _scalar_conflict(self, pi_row: np.ndarray) -> bool:
         self.fastpath_promotions += 1
         t = MappingMatrix(
             space=self.space_rows,
             schedule=tuple(int(v) for v in pi_row),
         )
-        verdict = check_conflict_free(t, self.algorithm.mu, method=self.method)
-        return STAGE_OK if verdict.holds else STAGE_CONFLICT
+        return check_conflict_free(t, self.algorithm.mu, method=self.method).holds
 
-    def _stages_for_chunk(self, chunk: np.ndarray) -> list[str]:
-        self.batches_evaluated += 1
-        if self.symmetry is None:
-            return self._evaluate_rows(chunk)
-        # Orbit collapse: evaluate each fresh representative once, then
-        # rehydrate every member's stage from the memo.  Representatives
-        # share the member's budget f (mu-compatibility), so memo entries
-        # are only ever hit within their own ring.
-        keys = [tuple(row) for row in self.symmetry.canonicalize_rows(chunk).tolist()]
-        memo = self._orbit_memo
-        fresh: list[tuple[int, ...]] = []
-        fresh_seen: set[tuple[int, ...]] = set()
-        for key in keys:
-            if key not in memo and key not in fresh_seen:
-                fresh_seen.add(key)
-                fresh.append(key)
-        if fresh:
-            stages = self._evaluate_rows(np.array(fresh, dtype=np.int64))
-            for key, stage in zip(fresh, stages):
-                memo[key] = stage
-        self.orbits_collapsed += len(keys) - len(fresh)
-        return [memo[key] for key in keys]
+    def _survivors(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The ``Pi D > 0`` mask and the indices passing deps and rank.
 
-    def _evaluate_rows(self, chunk: np.ndarray) -> list[str]:
-        m = len(chunk)
-        stages = [STAGE_DEPS] * m
+        The rank screen runs only on the dependence survivors.
+        """
         if self._dep_mat is None:
-            dep_mask = np.ones(m, dtype=bool)
+            dep_mask = np.ones(len(rows), dtype=bool)
         else:
-            dep_mask, promoted = batch_dependence_mask(chunk, self._dep_mat)
+            dep_mask, promoted = batch_dependence_mask(rows, self._dep_mat)
             self.fastpath_promotions += promoted
+        passed = np.flatnonzero(dep_mask)
         if self._rank_mode == "all-fail":
-            for i in np.nonzero(dep_mask)[0]:
-                stages[i] = STAGE_RANK
-            return stages
+            return dep_mask, passed[:0]
         if self._rank_mode == "kernel":
             assert self._kernel is not None
-            rank_mask, promoted = batch_nonzero_mask(chunk, self._kernel)
+            rank_mask, promoted = batch_nonzero_mask(rows[passed], self._kernel)
             self.fastpath_promotions += promoted
-        else:
-            rank_mask = np.ones(m, dtype=bool)
-        for i in np.nonzero(dep_mask & ~rank_mask)[0]:
-            stages[i] = STAGE_RANK
-        survivors = np.nonzero(dep_mask & rank_mask)[0]
-        if survivors.size == 0:
-            return stages
+            passed = passed[rank_mask]
+        return dep_mask, passed
+
+    def _screen(self, rows: np.ndarray) -> np.ndarray:
+        """Conflict-freedom of deps+rank survivors, as a boolean mask."""
+        ok = np.zeros(len(rows), dtype=bool)
+        if len(rows) == 0:
+            return ok
         if self.k == self.n:
             # Co-rank 0: a full-rank square mapping is injective on Z^n.
-            for i in survivors:
-                stages[i] = STAGE_OK
-            return stages
+            ok[:] = True
+            return ok
+        todo = np.arange(len(rows))
         if self.min_feasible_f is not None:
             # Budgets below the LP bound cannot be conflict-free; assign
             # the screen's inevitable verdict without running it.
-            f_vals = np.abs(chunk[survivors]) @ self._mu_arr
-            below = f_vals < self.min_feasible_f
-            if below.any():
-                for i in survivors[below]:
-                    stages[i] = STAGE_CONFLICT
-                self.candidates_skipped += int(below.sum())
-                survivors = survivors[~below]
-                if survivors.size == 0:
-                    return stages
-        self.conflict_screens += int(survivors.size)
+            below = np.abs(rows) @ self._mu_arr < self.min_feasible_f
+            self.candidates_skipped += int(np.count_nonzero(below))
+            todo = todo[~below]
+            if todo.size == 0:
+                return ok
+        self.conflict_screens += int(todo.size)
         if not self._conflict_ready:
             self._prepare_conflict()
         assert self._pts is not None and self._fixed is not None
-        sub = chunk[survivors]
-        vec_max = np.abs(sub).max(axis=1, initial=0)
-        certified = vec_max <= self._col_thr
+        certified = np.abs(rows[todo]).max(axis=1, initial=0) <= self._col_thr
         if self._fixed.dtype == object:
             certified[:] = False
-        fast_idx = survivors[certified]
-        scalar_idx = list(survivors[~certified])
+        fast_idx = todo[certified]
+        scalar_idx = todo[~certified].tolist()
         if fast_idx.size:
-            t_cols, _ = batch_point_images(self._pts, chunk[fast_idx])
+            t_cols, _ = batch_point_images(self._pts, rows[fast_idx])
             counts = batch_distinct_image_counts(self._fixed, t_cols[:, :, None])
-            for pos, i in enumerate(fast_idx):
-                if counts[pos] < 0:
-                    scalar_idx.append(i)
-                elif counts[pos] == self._n_pts:
-                    stages[i] = STAGE_OK
-                else:
-                    stages[i] = STAGE_CONFLICT
+            ok[fast_idx] = counts == self._n_pts
+            scalar_idx.extend(fast_idx[counts < 0].tolist())
         for i in scalar_idx:
-            stages[i] = self._scalar_conflict(chunk[i])
-        return stages
+            ok[i] = self._scalar_conflict(rows[i])
+        return ok
+
+    def _stage_codes(self, rows: np.ndarray) -> np.ndarray:
+        """Stage of each row as an index into :data:`_STAGE_BY_CODE`."""
+        dep_mask, passed = self._survivors(rows)
+        codes = dep_mask.astype(np.int8)  # 0 = deps, 1 = rank
+        codes[passed] = _CODE_CONFLICT + self._screen(rows[passed])
+        return codes
+
+    def _collapse(
+        self, rows: np.ndarray, evaluate: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """Orbit collapse: ``evaluate`` each fresh representative once.
+
+        Returns the memoized stage code of every row's representative,
+        in row order.  Representatives share the member's budget ``f``
+        (mu-compatibility), so memo entries are only ever hit within
+        their own ring.
+        """
+        assert self.symmetry is not None
+        keys = [tuple(row) for row in self.symmetry.canonicalize_rows(rows).tolist()]
+        memo = self._orbit_memo
+        fresh = [key for key in dict.fromkeys(keys) if key not in memo]
+        if fresh:
+            codes = evaluate(np.array(fresh, dtype=np.int64))
+            memo.update(zip(fresh, codes.tolist()))
+        self.orbits_collapsed += len(keys) - len(fresh)
+        return np.array([memo[key] for key in keys], dtype=np.int8)
 
     def iter_stages(
         self, pis: np.ndarray
     ) -> Iterator[tuple[int, list[str]]]:
         """Yield ``(offset, stage_codes)`` per chunk, lazily in order.
 
-        Laziness lets the serial search stop evaluating a ring the
-        moment the winner's chunk is consumed.
+        One stage code per candidate — the records a shard worker ships
+        back for the parent's merge.
         """
         for start in range(0, len(pis), self._chunk):
-            yield start, self._stages_for_chunk(pis[start : start + self._chunk])
+            chunk = pis[start : start + self._chunk]
+            self.batches_evaluated += 1
+            if self.symmetry is None:
+                codes = self._stage_codes(chunk)
+            else:
+                codes = self._collapse(chunk, self._stage_codes)
+            yield start, [_STAGE_BY_CODE[c] for c in codes.tolist()]
+
+    def scan_ring(
+        self, pis: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+        """Whole-ring funnel: ``(deps mask, survivor indices, verdicts)``.
+
+        The masks cover the whole ring in one batch; ``verdicts`` lazily
+        yields ``(offset, conflict_free_mask)`` per chunk of the deps+rank
+        survivors ``pis[survivor indices]``, so a search stops screening
+        at its winner.
+        """
+        self.batches_evaluated += 1
+        dep_mask, passed = self._survivors(pis)
+        return dep_mask, passed, self._iter_verdicts(pis[passed])
+
+    def _iter_verdicts(
+        self, survivors: np.ndarray
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Survivors are in scan order, so their budgets ``f`` never
+        decrease: those below the LP bound form a prefix that goes out as
+        one chunk, unscreened.  The rest are screened in chunks doubling
+        from one row up to the memory cap, so a search whose winner is
+        among the first screenable survivors stops after a handful of
+        screens.  Only survivors are canonicalized (with symmetry on).
+        """
+        start, size = 0, 1
+        if self.min_feasible_f is not None:
+            f = np.abs(survivors) @ self._mu_arr
+            start = int(np.searchsorted(f, self.min_feasible_f))
+            if start:
+                yield 0, self._verdicts(survivors[:start])
+        while start < len(survivors):
+            chunk = survivors[start : start + size]
+            yield start, self._verdicts(chunk)
+            start += len(chunk)
+            size = min(2 * size, self._chunk)
+
+    def _verdicts(self, rows: np.ndarray) -> np.ndarray:
+        self.batches_evaluated += 1
+        if self.symmetry is None:
+            return self._screen(rows)
+        codes = self._collapse(rows, lambda reps: _CODE_CONFLICT + self._screen(reps))
+        return codes == _CODE_OK
 
 
 def search_bounds(
@@ -852,39 +934,51 @@ def _scan_ring_batched(
 ) -> tuple[int, int, _RingWinner | None]:
     """One-ring batched scan, counter-compatible with the scalar scan.
 
-    Stage codes come from the vectorized funnel, but counters follow
-    the scalar loop's prefix semantics exactly: they accumulate only up
-    to (and including) the winning candidate, and the winner's verdict
-    is recomputed by the scalar :func:`check_conflict_free` so the
-    returned :class:`ConditionVerdict` is the very object the scalar
-    path would produce.
+    The dependence mask runs once over the whole ring and the rank mask
+    over its survivors; only deps+rank survivors are canonicalized and
+    conflict-screened, chunk by chunk in scan order, stopping at the
+    winner.  Counters then follow the scalar loop's prefix semantics
+    exactly — they accumulate only up to (and including) the winning
+    candidate — and are folded from the masks with prefix counts.  The
+    winner's verdict is recomputed by the scalar
+    :func:`check_conflict_free` so the returned :class:`ConditionVerdict`
+    is the very object the scalar path would produce.
     """
     pis = ring_candidate_array(mu, f_max, f_min=f_min)
     stats.candidates_enumerated += len(pis)
-    for start, stage_codes in scanner.iter_stages(pis):
-        for offset, stage in enumerate(stage_codes):
-            if stage == STAGE_DEPS:
-                stats.candidates_pruned += 1
-                continue
-            examined += 1
-            if stage == STAGE_RANK:
-                stats.candidates_pruned += 1
-                continue
-            stats.candidates_checked += 1
-            if stage == STAGE_CONFLICT:
-                stats.conflicts_rejected += 1
-                continue
-            pi = tuple(int(v) for v in pis[start + offset])
-            cand = LinearSchedule(pi=pi, index_set=algorithm.index_set)
+    dep_mask, survivors, verdicts = scanner.scan_ring(pis)
+    screened: list[np.ndarray] = []
+    found: _RingWinner | None = None
+    # The fold's prefix: ring rows [0, end) holding survivors [0, n_surv).
+    end, n_surv = len(pis), len(survivors)
+    for start, ok in verdicts:
+        screened.append(ok)
+        for pos in np.flatnonzero(ok).tolist():
+            row = int(survivors[start + pos])
+            cand = LinearSchedule(
+                pi=tuple(int(v) for v in pis[row]), index_set=algorithm.index_set
+            )
             t = MappingMatrix(space=space_rows, schedule=cand.pi)
             verdict = check_conflict_free(t, mu, method=method)
             if not verdict.holds:  # pragma: no cover - screen is exact
-                stats.conflicts_rejected += 1
+                ok[pos] = False
                 continue
             if extra_constraint is not None and not extra_constraint(t):
+                # Conflict-free but refused: checked, not a conflict.
                 continue
-            return examined, len(pis), (cand, t, verdict)
-    return examined, len(pis), None
+            found = (cand, t, verdict)
+            end, n_surv = row + 1, start + pos + 1
+            break
+        if found is not None:
+            break
+    conflict_free = (
+        int(np.count_nonzero(np.concatenate(screened)[:n_surv])) if screened else 0
+    )
+    stats.candidates_pruned += end - n_surv
+    stats.candidates_checked += n_surv
+    stats.conflicts_rejected += n_surv - conflict_free
+    examined += int(np.count_nonzero(dep_mask[:end]))
+    return examined, len(pis), found
 
 
 def find_all_optima(
@@ -926,13 +1020,9 @@ def find_all_optima(
             group = candidate_group
     rep_holds: dict[tuple[int, ...], bool] = {}
     best_f = first.schedule.f
-    ties = [
-        LinearSchedule(pi=pi, index_set=algorithm.index_set)
-        for pi in enumerate_schedule_vectors(mu, best_f, f_min=best_f)
-    ]
-    ties.sort(key=LinearSchedule.sort_key)
     results: list[SearchResult] = []
-    for cand in ties:
+    for row in ring_candidate_array(mu, best_f, f_min=best_f).tolist():
+        cand = LinearSchedule(pi=tuple(row), index_set=algorithm.index_set)
         if not algorithm.is_acyclic_under(cand.pi):
             continue
         t = MappingMatrix(space=space_rows, schedule=cand.pi)
@@ -967,5 +1057,3 @@ def find_all_optima(
 
 # Backwards-friendly alias matching the paper's wording.
 find_time_optimal_schedule = procedure_5_1
-
-_ = field  # keep dataclass import grouped for linters

@@ -8,9 +8,11 @@ both sides of the int64 promotion boundary.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import matrix_multiplication, transitive_closure
 from repro.core.conditions import check_conflict_free
 from repro.core.conflict import batch_distinct_image_counts
 from repro.core.mapping import MappingMatrix
@@ -102,6 +104,72 @@ class TestSearchEquivalence:
             holds = check_conflict_free(t, algo.mu, method="auto").holds
             expected.append("ok" if holds else "conflict")
         assert batched == expected
+
+
+def reject_first(count):
+    """A stateful constraint refusing the first ``count`` mappings it sees.
+
+    Procedure 5.1 consults ``extra_constraint`` only on conflict-free
+    candidates, in scan order, so this rejects exactly the first
+    ``count`` conflict-free mappings of the search.
+    """
+    seen = []
+
+    def constraint(t):
+        seen.append(t.schedule)
+        return len(seen) > count
+
+    constraint.seen = seen
+    return constraint
+
+
+class TestExtraConstraintFold:
+    """Conflict-free candidates refused by ``extra_constraint`` before the
+    winner count in ``examined`` and ``candidates_checked``, never in
+    ``conflicts_rejected`` — on the batched path exactly as on the
+    scalar one."""
+
+    CASES = [
+        (matrix_multiplication(6), ((1, 1, -1),)),
+        (matrix_multiplication(4), ((1, 1, -1),)),
+        (transitive_closure(5), ((0, 0, 1),)),
+    ]
+
+    @pytest.mark.parametrize("algo,space", CASES, ids=lambda c: getattr(c, "name", None))
+    @pytest.mark.parametrize("pruning", [True, False], ids=["pruned", "unpruned"])
+    def test_rejected_conflict_free_prefix(self, algo, space, pruning):
+        kwargs = {"symmetry": pruning, "ring_bound": pruning}
+        batched_constraint = reject_first(3)
+        scalar_constraint = reject_first(3)
+        batched = procedure_5_1(
+            algo, space, extra_constraint=batched_constraint, **kwargs
+        )
+        scalar = procedure_5_1(
+            algo, space, batch=False, extra_constraint=scalar_constraint,
+            **kwargs,
+        )
+        assert batched.found
+        assert batched == scalar
+        assert batched.stats.counter_dict() == scalar.stats.counter_dict()
+        assert batched_constraint.seen == scalar_constraint.seen
+        assert len(batched_constraint.seen) == 4
+        # Three refused conflict-free candidates plus the winner are the
+        # only checked candidates not counted as conflicts.
+        stats = batched.stats
+        assert stats.candidates_checked - stats.conflicts_rejected == 4
+        plain = procedure_5_1(algo, space, **kwargs)
+        assert batched.schedule.sort_key() > plain.schedule.sort_key()
+
+    @given(algorithm_and_space(), st.integers(1, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_rejected_prefix_randomized(self, case, count):
+        algo, space = case
+        batched = procedure_5_1(algo, space, extra_constraint=reject_first(count))
+        scalar = procedure_5_1(
+            algo, space, batch=False, extra_constraint=reject_first(count)
+        )
+        assert batched == scalar
+        assert batched.stats.counter_dict() == scalar.stats.counter_dict()
 
 
 class TestSpaceEquivalence:
