@@ -22,10 +22,12 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
+from ..dse.partition import ring_bounds
 from ..dse.progress import SearchStats
 from ..intlin import INT64_MAX, IntMat, as_intmat, as_intvec, kernel_basis
 from ..intlin.batch import (
@@ -38,36 +40,23 @@ from ..model import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict, check_conflict_free
 from .conflict import batch_distinct_image_counts
 from .mapping import MappingMatrix
-from .schedule import LinearSchedule
+from .schedule import LinearSchedule, objective_f
 from .symmetry import SymmetryGroup, symmetry_group_for
 
 __all__ = [
     "BatchCandidateScanner",
     "DEFAULT_BATCH_SIZE",
-    "STAGE_CONFLICT",
-    "STAGE_DEPS",
-    "STAGE_OK",
-    "STAGE_RANK",
+    "RingTally",
     "SearchResult",
     "batch_disabled_reason",
     "batch_supported",
     "enumerate_schedule_vectors",
     "find_all_optima",
+    "fold",
     "procedure_5_1",
     "ring_candidate_array",
     "search_bounds",
 ]
-
-# Stage codes of the candidate filter funnel, in rejection order; the
-# sharded engine (repro.dse.executor) transports the same codes in its
-# shard records.
-STAGE_DEPS = "deps"
-STAGE_RANK = "rank"
-STAGE_CONFLICT = "conflict"
-STAGE_OK = "ok"
-# Stage codes as small ints for the vectorized funnel, in the same order.
-_STAGE_BY_CODE = (STAGE_DEPS, STAGE_RANK, STAGE_CONFLICT, STAGE_OK)
-_CODE_CONFLICT, _CODE_OK = 2, 3
 
 #: Candidates evaluated per vectorized batch (before the memory cap).
 DEFAULT_BATCH_SIZE = 512
@@ -87,7 +76,7 @@ def batch_disabled_reason(method: str, max_bound: int) -> str | None:
     ``method="auto"``/``"exact"`` but not for ``method="paper"``, whose
     Theorem 4.7/4.8 sufficient conditions deliberately keep the paper's
     necessity gap.  Oversized ring budgets also fall back to the scalar
-    walker so candidate entries stay certified int64.
+    reference, whose conflict checks stay exact past int64.
     """
     if method not in ("auto", "exact"):
         return (
@@ -179,9 +168,9 @@ def enumerate_schedule_vectors(
 
     Lazy depth-first enumeration with exact budget pruning; the zero
     vector is excluded (it is never a valid schedule).  Order within
-    the ring is deterministic but unsorted — Procedure 5.1 sorts by
-    execution time afterwards.  The scalar scan walks rings with it, and
-    it is the oracle for the vectorized :func:`ring_candidate_array`.
+    the ring is deterministic but unsorted.  It is the oracle for the
+    vectorized :func:`ring_candidate_array`, which both Procedure 5.1
+    paths scan.
     """
     mu = [int(m) for m in mu]
     n = len(mu)
@@ -299,39 +288,64 @@ def ring_candidate_array(
     )
 
 
+class RingTally(NamedTuple):
+    """What one contiguous slice of a ring contributes to the search.
+
+    Procedure 5.1 visits candidates in non-decreasing execution time and
+    Theorem 2.1 makes the first valid one optimal, so a slice contributes
+    the stage counts of its prefix up to and including that candidate
+    (the whole slice when none qualifies), plus the candidate's offset.
+    """
+
+    examined: int  # passed the dependence condition Pi D > 0
+    pruned: int  # failed the dependence condition or the rank condition
+    checked: int  # reached the conflict decider
+    conflicts: int  # rejected by the conflict decider
+    winner: int | None  # offset of the first accepted candidate, if any
+
+
+#: ``accept(pi)`` judges a conflict-free candidate beyond the funnel
+#: (the ``extra_constraint`` hook); ``False`` moves the scan on.
+Accept = Callable[[tuple[int, ...]], bool]
+
+
+def fold(stats: SearchStats, tally: RingTally) -> None:
+    """Add a tally's deterministic counters to ``stats``."""
+    stats.candidates_pruned += tally.pruned
+    stats.candidates_checked += tally.checked
+    stats.conflicts_rejected += tally.conflicts
+
+
 class BatchCandidateScanner:
     """Staged vectorized filter funnel over sorted candidate arrays.
 
-    Evaluates ring slices chunk-by-chunk: a vectorized ``Pi D > 0``
-    dependence mask, then a vectorized rank screen (``Pi`` against the
-    kernel basis of ``S``), then the exact vectorized conflict-image
-    screen (mixed-radix distinct-row counts of ``[S j | Pi j]`` over the
-    whole index box), with only the candidates whose int64 bounds cannot
-    be certified promoted to the scalar exact
-    :func:`~repro.core.conditions.check_conflict_free` path.  Produces
-    the same per-candidate stage code the scalar loop would, in the same
-    order — callers rebuild identical counters and pick the identical
-    winner.  Two ways to drive it: :meth:`iter_stages` yields one stage
-    code per candidate of a ring slice (the shard workers), while
-    :meth:`scan_ring` runs the funnel on whole-ring masks and screens
-    only the deps+rank survivors (the serial search).
+    :meth:`tally` evaluates a contiguous slice of a ring: a vectorized
+    ``Pi D > 0`` dependence mask over the whole slice, a vectorized rank
+    screen (``Pi`` against the kernel basis of ``S``) on its survivors,
+    then the exact vectorized conflict-image screen (mixed-radix
+    distinct-row counts of ``[S j | Pi j]`` over the whole index box) on
+    the deps+rank survivors only, chunk by chunk, stopping at the first
+    accepted conflict-free candidate.  Only the candidates whose int64
+    bounds cannot be certified are promoted to the scalar exact
+    :func:`~repro.core.conditions.check_conflict_free` path.  The result
+    equals :func:`_scalar_tally`'s, the one-candidate-at-a-time
+    reference.
 
     Only valid where :func:`batch_supported` holds; the screen *is* the
     exact conflict decider there.
 
-    Two optional pruners ride on top without changing any stage code:
+    Two optional pruners ride on top without changing any tally:
 
     * ``symmetry`` — a :class:`repro.core.symmetry.SymmetryGroup`; each
-      chunk is canonicalized to orbit representatives, only fresh
-      representatives run the funnel, and every member's stage is
-      rehydrated from the representative's memoized result (valid
-      because the group construction certifies stage invariance).
+      screened survivor is canonicalized to its orbit's representative,
+      and each fresh representative is screened once, its verdict
+      memoized for every member (valid because the group construction
+      certifies verdict invariance).
     * ``min_feasible_f`` — an LP-relaxation lower bound on the budget of
       any conflict-free candidate
       (:func:`repro.core.ilp_formulation.schedule_lower_bound`);
-      dependence/rank survivors below it are assigned
-      :data:`STAGE_CONFLICT` directly, which is exactly the verdict the
-      skipped screen would have computed.
+      survivors below it are counted as conflicts without a screen,
+      which is exactly the verdict the skipped screen would have given.
     """
 
     def __init__(
@@ -360,7 +374,7 @@ class BatchCandidateScanner:
             symmetry if symmetry is not None and symmetry.order > 1 else None
         )
         self.min_feasible_f = min_feasible_f
-        self._orbit_memo: dict[tuple[int, ...], int] = {}
+        self._orbit_memo: dict[tuple[int, ...], bool] = {}
         self._mu_arr = np.array([int(m) for m in algorithm.mu], dtype=np.int64)
         self.n = algorithm.n
         self.k = len(self.space_rows) + 1
@@ -398,6 +412,14 @@ class BatchCandidateScanner:
         self._n_pts = 0
         self._fixed: np.ndarray | None = None
         self._col_thr = INT64_MAX
+
+    def add_telemetry(self, stats: SearchStats) -> None:
+        """Add this scanner's work counters to ``stats`` (telemetry only)."""
+        stats.batches_evaluated += self.batches_evaluated
+        stats.fastpath_promotions += self.fastpath_promotions
+        stats.orbits_collapsed += self.orbits_collapsed
+        stats.candidates_skipped += self.candidates_skipped
+        stats.conflict_screens += self.conflict_screens
 
     def _prepare_conflict(self) -> None:
         pts = self.algorithm.index_set.points_array()
@@ -477,20 +499,10 @@ class BatchCandidateScanner:
             ok[i] = self._scalar_conflict(rows[i])
         return ok
 
-    def _stage_codes(self, rows: np.ndarray) -> np.ndarray:
-        """Stage of each row as an index into :data:`_STAGE_BY_CODE`."""
-        dep_mask, passed = self._survivors(rows)
-        codes = dep_mask.astype(np.int8)  # 0 = deps, 1 = rank
-        codes[passed] = _CODE_CONFLICT + self._screen(rows[passed])
-        return codes
+    def _screen_orbits(self, rows: np.ndarray) -> np.ndarray:
+        """:meth:`_screen` once per fresh orbit representative.
 
-    def _collapse(
-        self, rows: np.ndarray, evaluate: Callable[[np.ndarray], np.ndarray]
-    ) -> np.ndarray:
-        """Orbit collapse: ``evaluate`` each fresh representative once.
-
-        Returns the memoized stage code of every row's representative,
-        in row order.  Representatives share the member's budget ``f``
+        Representatives share the member's budget ``f``
         (mu-compatibility), so memo entries are only ever hit within
         their own ring.
         """
@@ -499,51 +511,49 @@ class BatchCandidateScanner:
         memo = self._orbit_memo
         fresh = [key for key in dict.fromkeys(keys) if key not in memo]
         if fresh:
-            codes = evaluate(np.array(fresh, dtype=np.int64))
-            memo.update(zip(fresh, codes.tolist()))
+            verdicts = self._screen(np.array(fresh, dtype=np.int64))
+            memo.update(zip(fresh, verdicts.tolist()))
         self.orbits_collapsed += len(keys) - len(fresh)
-        return np.array([memo[key] for key in keys], dtype=np.int8)
+        return np.array([memo[key] for key in keys], dtype=bool)
 
-    def iter_stages(
-        self, pis: np.ndarray
-    ) -> Iterator[tuple[int, list[str]]]:
-        """Yield ``(offset, stage_codes)`` per chunk, lazily in order.
+    def tally(self, pis: np.ndarray, accept: Accept | None = None) -> RingTally:
+        """Run the funnel over ``pis``, a contiguous slice of a ring array.
 
-        One stage code per candidate — the records a shard worker ships
-        back for the parent's merge.
-        """
-        for start in range(0, len(pis), self._chunk):
-            chunk = pis[start : start + self._chunk]
-            self.batches_evaluated += 1
-            if self.symmetry is None:
-                codes = self._stage_codes(chunk)
-            else:
-                codes = self._collapse(chunk, self._stage_codes)
-            yield start, [_STAGE_BY_CODE[c] for c in codes.tolist()]
-
-    def scan_ring(
-        self, pis: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, Iterator[tuple[int, np.ndarray]]]:
-        """Whole-ring funnel: ``(deps mask, survivor indices, verdicts)``.
-
-        The masks cover the whole ring in one batch; ``verdicts`` lazily
-        yields ``(offset, conflict_free_mask)`` per chunk of the deps+rank
-        survivors ``pis[survivor indices]``, so a search stops screening
-        at its winner.
+        Stops at the first conflict-free candidate that ``accept`` (when
+        given) also takes; the counters cover the prefix up to it.
         """
         self.batches_evaluated += 1
         dep_mask, passed = self._survivors(pis)
-        return dep_mask, passed, self._iter_verdicts(pis[passed])
+        survivors = pis[passed]
+        free = 0  # conflict-free survivors before the current chunk
+        for start, ok in self._iter_verdicts(survivors):
+            for pos in np.flatnonzero(ok).tolist():
+                if accept is None or accept(tuple(survivors[start + pos].tolist())):
+                    row, n = int(passed[start + pos]), start + pos + 1
+                    return RingTally(
+                        examined=int(np.count_nonzero(dep_mask[: row + 1])),
+                        pruned=row + 1 - n,
+                        checked=n,
+                        conflicts=n - free - int(np.count_nonzero(ok[: pos + 1])),
+                        winner=row,
+                    )
+            free += int(np.count_nonzero(ok))
+        n = len(passed)
+        return RingTally(
+            int(np.count_nonzero(dep_mask)), len(pis) - n, n, n - free, None
+        )
 
     def _iter_verdicts(
         self, survivors: np.ndarray
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Survivors are in scan order, so their budgets ``f`` never
+        """Yield ``(offset, conflict_free_mask)`` per chunk of survivors.
+
+        Survivors are in scan order, so their budgets ``f`` never
         decrease: those below the LP bound form a prefix that goes out as
         one chunk, unscreened.  The rest are screened in chunks doubling
         from one row up to the memory cap, so a search whose winner is
         among the first screenable survivors stops after a handful of
-        screens.  Only survivors are canonicalized (with symmetry on).
+        screens.
         """
         start, size = 0, 1
         if self.min_feasible_f is not None:
@@ -561,8 +571,55 @@ class BatchCandidateScanner:
         self.batches_evaluated += 1
         if self.symmetry is None:
             return self._screen(rows)
-        codes = self._collapse(rows, lambda reps: _CODE_CONFLICT + self._screen(reps))
-        return codes == _CODE_OK
+        return self._screen_orbits(rows)
+
+
+def _scalar_tally(
+    algorithm: UniformDependenceAlgorithm,
+    space_rows: tuple,
+    pis: np.ndarray,
+    accept: Accept | None = None,
+    *,
+    method: str = "auto",
+    min_f: int | None = None,
+    telemetry: SearchStats | None = None,
+) -> RingTally:
+    """One candidate at a time: the reference :meth:`BatchCandidateScanner.tally`.
+
+    Serves the paths the vectorized funnel cannot (``batch=False``,
+    ``method="paper"``, budgets past 2^31).  Below the LP bound
+    ``min_f`` the conflict check is skipped and its inevitable
+    rejection counted instead.  ``telemetry`` receives the skipped and
+    computed conflict checks.
+    """
+    k = len(space_rows) + 1
+    examined = pruned = checked = conflicts = skipped = screens = 0
+    winner = None
+    for i, pi in enumerate(map(tuple, pis.tolist())):
+        if not algorithm.is_acyclic_under(pi):
+            pruned += 1
+            continue
+        examined += 1
+        t = MappingMatrix(space=space_rows, schedule=pi)
+        if t.rank() != k:
+            pruned += 1
+            continue
+        checked += 1
+        if min_f is not None and objective_f(pi, algorithm.mu) < min_f:
+            skipped += 1
+            conflicts += 1
+            continue
+        screens += 1
+        if not check_conflict_free(t, algorithm.mu, method=method).holds:
+            conflicts += 1
+            continue
+        if accept is None or accept(pi):
+            winner = i
+            break
+    if telemetry is not None:
+        telemetry.candidates_skipped += skipped
+        telemetry.conflict_screens += screens
+    return RingTally(examined, pruned, checked, conflicts, winner)
 
 
 def search_bounds(
@@ -666,27 +723,20 @@ def procedure_5_1(
     # Pre-normalized IntVec rows: MappingMatrix construction inside the
     # candidate loop then reuses them as-is instead of re-validating.
     space_rows = tuple(as_intvec(row) for row in space)
-    k = len(space_rows) + 1
     alpha, initial_bound, max_bound = search_bounds(
         algorithm, alpha=alpha, initial_bound=initial_bound, max_bound=max_bound
     )
     disabled_reason = batch_disabled_reason(method, max_bound) if batch else None
     use_batch = batch and disabled_reason is None
-    group: SymmetryGroup | None = None
-    if symmetry and method in ("auto", "exact"):
-        candidate_group = symmetry_group_for(algorithm, space_rows)
-        if candidate_group.order > 1:
-            group = candidate_group
-    min_f: int | None = None
-    bound_reason: str | None = None
-    if ring_bound:
-        # Lazy import: repro.core.ilp_formulation pulls in repro.ilp
-        # (scipy) which plain enumerative searches don't need.
-        from .ilp_formulation import schedule_lower_bound
+    group = _symmetry_for(algorithm, space_rows, method, symmetry)
+    min_f, bound_reason = _lower_bound(algorithm, space_rows, ring_bound)
 
-        min_f, bound_reason = schedule_lower_bound(algorithm, space_rows)
-    scanner = (
-        BatchCandidateScanner(
+    tracer = get_tracer()
+    stats = SearchStats()
+    scanner: BatchCandidateScanner | None = None
+    evaluate: Callable[[np.ndarray, Accept | None], RingTally]
+    if use_batch:
+        scanner = BatchCandidateScanner(
             algorithm,
             space_rows,
             method=method,
@@ -694,20 +744,19 @@ def procedure_5_1(
             symmetry=group,
             min_feasible_f=min_f,
         )
-        if use_batch
-        else None
-    )
-
-    tracer = get_tracer()
-    stats = SearchStats()
+        evaluate = scanner.tally
+    else:
+        evaluate = partial(
+            _scalar_tally, algorithm, space_rows,
+            method=method, min_f=min_f, telemetry=stats,
+        )
+    accept = _accept(space_rows, extra_constraint)
     if disabled_reason is not None:
         stats.batch_disabled_reason = disabled_reason
         _warn_batch_disabled(disabled_reason)
     examined = 0
     rings = 0
-    x_prev = -1
-    x = initial_bound
-    result: SearchResult | None = None
+    winner: tuple[int, ...] | None = None
     # The root span is the single timing source: SearchStats.wall_time
     # is read back from its monotonic duration after it closes.
     root = tracer.span(
@@ -723,71 +772,39 @@ def procedure_5_1(
     )
     if disabled_reason is not None:
         root.set(batch_disabled_reason=disabled_reason)
-    scalar_memo: dict[tuple[int, ...], str] = {}
     with root:
-        while x_prev < max_bound and result is None:
-            f_hi = min(x, max_bound)
-            ring_span = tracer.span(
-                "core.ring", ring=rings, f_min=x_prev + 1, f_max=f_hi
-            )
-            with ring_span:
+        for f_lo, f_hi in ring_bounds(initial_bound, alpha, max_bound):
+            with tracer.span(
+                "core.ring", ring=rings, f_min=f_lo, f_max=f_hi
+            ) as ring_span:
                 if rings == 0 and bound_reason is not None:
                     tracer.event("ring_bound_failed", reason=bound_reason)
                     ring_span.set(ring_bound_failed=bound_reason)
                 if min_f is not None and f_hi < min_f:
                     stats.rings_bounded_out += 1
                     ring_span.set(bounded_out=True)
-                if scanner is not None:
-                    winner = _scan_ring_batched(
-                        scanner,
-                        algorithm,
-                        space_rows,
-                        mu,
-                        method,
-                        extra_constraint,
-                        f_min=x_prev + 1,
-                        f_max=f_hi,
-                        stats=stats,
-                        examined=examined,
-                    )
-                else:
-                    winner = _scan_ring_scalar(
-                        algorithm,
-                        space_rows,
-                        k,
-                        mu,
-                        method,
-                        extra_constraint,
-                        f_min=x_prev + 1,
-                        f_max=f_hi,
-                        stats=stats,
-                        examined=examined,
-                        symmetry=group,
-                        min_f=min_f,
-                        memo=scalar_memo,
-                    )
-                examined, ring_size, found = winner
-                ring_span.set(candidates=ring_size)
-                if found is not None:
-                    cand, t, verdict = found
-                    stats.rings_expanded = rings
-                    ring_span.set(winner=list(cand.pi))
-                    result = SearchResult(
-                        schedule=cand,
-                        mapping=t,
-                        verdict=verdict,
-                        candidates_examined=examined,
-                        rings_expanded=rings,
-                        stats=stats,
-                    )
-            if result is None:
-                rings += 1
-                x_prev = min(x, max_bound)
-                x += alpha
+                pis = ring_candidate_array(mu, f_hi, f_min=f_lo)
+                stats.candidates_enumerated += len(pis)
+                tally = evaluate(pis, accept)
+                fold(stats, tally)
+                examined += tally.examined
+                ring_span.set(candidates=len(pis))
+                if tally.winner is not None:
+                    winner = tuple(pis[tally.winner].tolist())
+                    ring_span.set(winner=list(winner))
+                    break
+            rings += 1
 
-    if result is None:
-        stats.rings_expanded = rings
-        result = SearchResult(
+    stats.rings_expanded = rings
+    if scanner is not None:
+        scanner.add_telemetry(stats)
+    # stats is shared with the result; the frozen dataclass holds the
+    # reference, so deriving wall_time from the span after construction
+    # is visible to callers.
+    stats.wall_time = root.duration
+    stats.shard_wall_times = (stats.wall_time,)
+    if winner is None:
+        return SearchResult(
             schedule=None,
             mapping=None,
             verdict=None,
@@ -795,190 +812,54 @@ def procedure_5_1(
             rings_expanded=rings,
             stats=stats,
         )
-    if scanner is not None:
-        stats.batches_evaluated = scanner.batches_evaluated
-        stats.fastpath_promotions = scanner.fastpath_promotions
-        stats.orbits_collapsed += scanner.orbits_collapsed
-        stats.candidates_skipped += scanner.candidates_skipped
-        stats.conflict_screens += scanner.conflict_screens
-    # stats is shared with the result; the frozen dataclass holds the
-    # reference, so deriving wall_time from the span after construction
-    # is visible to callers.
-    stats.wall_time = root.duration
-    stats.shard_wall_times = (stats.wall_time,)
-    return result
-
-
-_RingWinner = tuple[LinearSchedule, MappingMatrix, ConditionVerdict]
-
-
-def _scan_ring_scalar(
-    algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
-    k: int,
-    mu: Sequence[int],
-    method: str,
-    extra_constraint: Callable[[MappingMatrix], bool] | None,
-    *,
-    f_min: int,
-    f_max: int,
-    stats: SearchStats,
-    examined: int,
-    symmetry: SymmetryGroup | None = None,
-    min_f: int | None = None,
-    memo: dict[tuple[int, ...], str] | None = None,
-) -> tuple[int, int, _RingWinner | None]:
-    """One-ring scalar scan; returns (examined, ring size, winner).
-
-    With ``symmetry`` each orbit representative is judged once and the
-    outcome replayed for every member; with ``min_f`` the conflict
-    screen is skipped (verdict "conflict" pre-assigned) below the LP
-    bound.  Both replicate the unpruned loop's counters exactly.
-    """
-    ring: list[LinearSchedule] = [
-        LinearSchedule(pi=pi, index_set=algorithm.index_set)
-        for pi in enumerate_schedule_vectors(mu, f_max, f_min=f_min)
-    ]
-    stats.candidates_enumerated += len(ring)
-    ring.sort(key=LinearSchedule.sort_key)
-    use_sym = symmetry is not None and symmetry.order > 1
-    if memo is None:
-        memo = {}
-
-    def judge(pi: tuple[int, ...]) -> str:
-        sched = LinearSchedule(pi=pi, index_set=algorithm.index_set)
-        if not sched.respects(algorithm):
-            return STAGE_DEPS
-        t_rep = MappingMatrix(space=space_rows, schedule=pi)
-        if t_rep.rank() != k:
-            return STAGE_RANK
-        if min_f is not None and sched.f < min_f:
-            stats.candidates_skipped += 1
-            return STAGE_CONFLICT
-        stats.conflict_screens += 1
-        holds = check_conflict_free(t_rep, mu, method=method).holds
-        return STAGE_OK if holds else STAGE_CONFLICT
-
-    for cand in ring:
-        if use_sym:
-            assert symmetry is not None
-            rep = symmetry.canonicalize(cand.pi)
-            outcome = memo.get(rep)
-            if outcome is None:
-                outcome = judge(rep)
-                memo[rep] = outcome
-            else:
-                stats.orbits_collapsed += 1
-            if outcome == STAGE_DEPS:
-                stats.candidates_pruned += 1
-                continue
-            examined += 1
-            if outcome == STAGE_RANK:
-                stats.candidates_pruned += 1
-                continue
-            stats.candidates_checked += 1
-            if outcome == STAGE_CONFLICT:
-                stats.conflicts_rejected += 1
-                continue
-            # The orbit representative is conflict-free, hence (by the
-            # group's stage invariance) so is this member; its own
-            # verdict object is still computed so the returned result is
-            # the very one the unpruned loop produces.
-            t = MappingMatrix(space=space_rows, schedule=cand.pi)
-            stats.conflict_screens += 1
-            verdict = check_conflict_free(t, mu, method=method)
-            if not verdict.holds:  # pragma: no cover - orbit invariance
-                stats.conflicts_rejected += 1
-                continue
-            if extra_constraint is not None and not extra_constraint(t):
-                continue
-            return examined, len(ring), (cand, t, verdict)
-        if not cand.respects(algorithm):
-            stats.candidates_pruned += 1
-            continue
-        t = MappingMatrix(space=space_rows, schedule=cand.pi)
-        examined += 1
-        if t.rank() != k:
-            stats.candidates_pruned += 1
-            continue
-        stats.candidates_checked += 1
-        if min_f is not None and cand.f < min_f:
-            # The LP bound proves the screen would reject; record the
-            # rejection it would have produced.
-            stats.candidates_skipped += 1
-            stats.conflicts_rejected += 1
-            continue
-        stats.conflict_screens += 1
-        verdict = check_conflict_free(t, mu, method=method)
-        if not verdict.holds:
-            stats.conflicts_rejected += 1
-            continue
-        if extra_constraint is not None and not extra_constraint(t):
-            continue
-        return examined, len(ring), (cand, t, verdict)
-    return examined, len(ring), None
-
-
-def _scan_ring_batched(
-    scanner: BatchCandidateScanner,
-    algorithm: UniformDependenceAlgorithm,
-    space_rows: tuple,
-    mu: Sequence[int],
-    method: str,
-    extra_constraint: Callable[[MappingMatrix], bool] | None,
-    *,
-    f_min: int,
-    f_max: int,
-    stats: SearchStats,
-    examined: int,
-) -> tuple[int, int, _RingWinner | None]:
-    """One-ring batched scan, counter-compatible with the scalar scan.
-
-    The dependence mask runs once over the whole ring and the rank mask
-    over its survivors; only deps+rank survivors are canonicalized and
-    conflict-screened, chunk by chunk in scan order, stopping at the
-    winner.  Counters then follow the scalar loop's prefix semantics
-    exactly — they accumulate only up to (and including) the winning
-    candidate — and are folded from the masks with prefix counts.  The
-    winner's verdict is recomputed by the scalar
-    :func:`check_conflict_free` so the returned :class:`ConditionVerdict`
-    is the very object the scalar path would produce.
-    """
-    pis = ring_candidate_array(mu, f_max, f_min=f_min)
-    stats.candidates_enumerated += len(pis)
-    dep_mask, survivors, verdicts = scanner.scan_ring(pis)
-    screened: list[np.ndarray] = []
-    found: _RingWinner | None = None
-    # The fold's prefix: ring rows [0, end) holding survivors [0, n_surv).
-    end, n_surv = len(pis), len(survivors)
-    for start, ok in verdicts:
-        screened.append(ok)
-        for pos in np.flatnonzero(ok).tolist():
-            row = int(survivors[start + pos])
-            cand = LinearSchedule(
-                pi=tuple(int(v) for v in pis[row]), index_set=algorithm.index_set
-            )
-            t = MappingMatrix(space=space_rows, schedule=cand.pi)
-            verdict = check_conflict_free(t, mu, method=method)
-            if not verdict.holds:  # pragma: no cover - screen is exact
-                ok[pos] = False
-                continue
-            if extra_constraint is not None and not extra_constraint(t):
-                # Conflict-free but refused: checked, not a conflict.
-                continue
-            found = (cand, t, verdict)
-            end, n_surv = row + 1, start + pos + 1
-            break
-        if found is not None:
-            break
-    conflict_free = (
-        int(np.count_nonzero(np.concatenate(screened)[:n_surv])) if screened else 0
+    t = MappingMatrix(space=space_rows, schedule=winner)
+    return SearchResult(
+        schedule=LinearSchedule(pi=winner, index_set=algorithm.index_set),
+        mapping=t,
+        verdict=check_conflict_free(t, mu, method=method),
+        candidates_examined=examined,
+        rings_expanded=rings,
+        stats=stats,
     )
-    stats.candidates_pruned += end - n_surv
-    stats.candidates_checked += n_surv
-    stats.conflicts_rejected += n_surv - conflict_free
-    examined += int(np.count_nonzero(dep_mask[:end]))
-    return examined, len(pis), found
+
+
+def _symmetry_for(
+    algorithm: UniformDependenceAlgorithm,
+    space_rows: tuple,
+    method: str,
+    enabled: bool,
+) -> SymmetryGroup | None:
+    """The funnel symmetry group, when orbit collapsing applies.
+
+    Only under the exact conflict deciders: the paper's sufficient
+    conditions are not syntactically symmetric.
+    """
+    if not enabled or method not in ("auto", "exact"):
+        return None
+    group = symmetry_group_for(algorithm, space_rows)
+    return group if group.order > 1 else None
+
+
+def _lower_bound(
+    algorithm: UniformDependenceAlgorithm, space_rows: tuple, enabled: bool
+) -> tuple[int | None, str | None]:
+    """The LP ring bound and, when the LP failed, why (``None`` = no bound)."""
+    if not enabled:
+        return None, None
+    # Lazy import: repro.core.ilp_formulation pulls in repro.ilp (scipy),
+    # which plain enumerative searches don't need.
+    from .ilp_formulation import schedule_lower_bound
+
+    return schedule_lower_bound(algorithm, space_rows)
+
+
+def _accept(
+    space_rows: tuple, extra_constraint: Callable[[MappingMatrix], bool] | None
+) -> Accept | None:
+    """``extra_constraint`` as an :data:`Accept` hook on raw vectors."""
+    if extra_constraint is None:
+        return None
+    return lambda pi: extra_constraint(MappingMatrix(space=space_rows, schedule=pi))
 
 
 def find_all_optima(
@@ -995,63 +876,51 @@ def find_all_optima(
     total time, each wrapped as a :class:`SearchResult`.  Runs the
     standard search once for the optimum, then sweeps the optimal ring
     exhaustively in the search's documented
-    :meth:`~repro.core.schedule.LinearSchedule.sort_key` order.
+    :meth:`~repro.core.schedule.LinearSchedule.sort_key` order, through
+    the same ring evaluator (and ``batch``/``batch_size``/``symmetry``
+    keywords) as :func:`procedure_5_1`.
 
     Each returned result carries its *own* :class:`SearchStats` copy
     (same counter values — one search was performed); mutating one
-    result's telemetry never leaks into its siblings.
-
-    The tie sweep honors the same ``symmetry`` keyword as
-    :func:`procedure_5_1`: orbits whose representative fails the
-    conflict screen are dismissed wholesale, while every *surviving*
-    member still gets its own verdict object — the returned tie list is
-    bit-identical to the unpruned sweep, in the same sort-key order.
+    result's telemetry never leaks into its siblings.  Every tie gets
+    its own verdict object.
     """
     first = procedure_5_1(algorithm, space, method=method, **kwargs)
     if not first.found:
         return []
     mu = algorithm.mu
     space_rows = tuple(as_intvec(row) for row in space)
-    k = len(space_rows) + 1
-    group: SymmetryGroup | None = None
-    if kwargs.get("symmetry", True) and method in ("auto", "exact"):
-        candidate_group = symmetry_group_for(algorithm, space_rows)
-        if candidate_group.order > 1:
-            group = candidate_group
-    rep_holds: dict[tuple[int, ...], bool] = {}
     best_f = first.schedule.f
     results: list[SearchResult] = []
-    for row in ring_candidate_array(mu, best_f, f_min=best_f).tolist():
-        cand = LinearSchedule(pi=tuple(row), index_set=algorithm.index_set)
-        if not algorithm.is_acyclic_under(cand.pi):
-            continue
-        t = MappingMatrix(space=space_rows, schedule=cand.pi)
-        if t.rank() != k:
-            continue
-        if group is not None:
-            rep = group.canonicalize(cand.pi)
-            holds = rep_holds.get(rep)
-            if holds is None:
-                rep_t = MappingMatrix(space=space_rows, schedule=rep)
-                holds = check_conflict_free(rep_t, mu, method=method).holds
-                rep_holds[rep] = holds
-            if not holds:
-                continue
-        verdict = check_conflict_free(t, mu, method=method)
-        if not verdict.holds:
-            # Unreachable when group pre-screened the orbit (invariance);
-            # the ordinary rejection path otherwise.
-            continue
+
+    def record(pi: tuple[int, ...]) -> bool:
+        t = MappingMatrix(space=space_rows, schedule=pi)
         results.append(
             SearchResult(
-                schedule=cand,
+                schedule=LinearSchedule(pi=pi, index_set=algorithm.index_set),
                 mapping=t,
-                verdict=verdict,
+                verdict=check_conflict_free(t, mu, method=method),
                 candidates_examined=first.candidates_examined,
                 rings_expanded=first.rings_expanded,
                 stats=replace(first.stats),
             )
         )
+        return False  # keep sweeping: every tie is wanted
+
+    pis = ring_candidate_array(mu, best_f, f_min=best_f)
+    if kwargs.get("batch", True) and batch_supported(method, best_f):
+        scanner = BatchCandidateScanner(
+            algorithm,
+            space_rows,
+            method=method,
+            batch_size=kwargs.get("batch_size"),
+            symmetry=_symmetry_for(
+                algorithm, space_rows, method, kwargs.get("symmetry", True)
+            ),
+        )
+        scanner.tally(pis, record)
+    else:
+        _scalar_tally(algorithm, space_rows, pis, record, method=method)
     return results
 
 

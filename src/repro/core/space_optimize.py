@@ -100,8 +100,8 @@ def enumerate_space_rows(n: int, magnitude: int = 1) -> list[tuple[int, ...]]:
     """Primitive candidate rows with positive leading non-zero entry.
 
     Row-scaling and row-negation do not change the induced processor
-    partition (they relabel PE coordinates), so only normalized
-    representatives are enumerated.
+    partition (they relabel PE coordinates), so only one normalized row
+    per class is enumerated.
     """
     seen: set[tuple[int, ...]] = set()
     out: list[tuple[int, ...]] = []

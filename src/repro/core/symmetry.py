@@ -25,9 +25,9 @@ execution-time budget ``f = sum |pi_i| mu_i``:
 The set of such ``P`` forms a group; :func:`symmetry_group` enumerates
 it and :class:`SymmetryGroup` canonicalizes candidates to the
 lexicographically smallest member of their orbit.  The scanner then
-evaluates one representative per orbit and rehydrates the stage code
-for every member, which cannot change any search outcome — only how
-much work computing it takes.
+conflict-screens one representative per orbit and rehydrates the
+verdict for every member, which cannot change any search outcome —
+only how much work computing it takes.
 
 The invariance argument above covers the *exact* conflict deciders
 (``method="auto"``/``"exact"``); the paper's Theorem 4.7/4.8 sufficient
@@ -63,7 +63,7 @@ class SymmetryGroup:
 
     ``canonicalize``/``canonicalize_rows`` map candidates to the
     lexicographically smallest image under the stored transforms — the
-    orbit representative the scanners key their memo tables on.
+    orbit representative the scanner keys its memo table on.
     """
 
     __slots__ = ("mats",)

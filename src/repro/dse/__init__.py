@@ -23,9 +23,9 @@ Public surface:
   deterministic sharding primitives (:mod:`repro.dse.partition`).
 
 Only :mod:`~repro.dse.progress` is imported eagerly: :mod:`repro.core`
-imports it from here, so everything that pulls in :mod:`repro.core`
-(as the executor does) must load lazily to keep the import graph
-acyclic.
+imports it (and the dependency-free :mod:`~repro.dse.partition`) from
+here, so everything that pulls in :mod:`repro.core` (as the executor
+does) must load lazily to keep the import graph acyclic.
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ logger = logging.getLogger("repro.dse.cache")
 __all__ = ["ResultCache", "canonical_key", "default_cache_dir"]
 
 # Bump when the stored-entry layout or the key canonicalization changes;
-# old entries are then simply never looked up again.  v2: matrix-valued
-# key components are rendered as IntMat digests instead of nested lists.
+# older entries then read as plain misses and are overwritten.  v2:
+# matrix-valued key components are rendered as IntMat digests instead of
+# nested lists.
 # v3: entries carry a content checksum (``"crc"``) so silent on-disk
 # corruption that still parses as JSON is detected and quarantined.
 # v4: schedule run params grew the pruning switches ("symmetry",
@@ -46,13 +47,6 @@ __all__ = ["ResultCache", "canonical_key", "default_cache_dir"]
 # and one with pruning off are distinct queries and must never answer
 # each other from cache.
 CACHE_SCHEMA_VERSION = 4
-
-# v2 entries differ from v3+ only by the absence of the checksum, so
-# they stay readable (no checksum to verify) instead of forcing a cold
-# cache; v3 entries differ from v4 only by which keys can reach them
-# (pre-pruning canonical keys), so any v3 entry a v4 key *does* reach
-# is byte-compatible and stays readable too.
-_READABLE_SCHEMAS = (2, 3, CACHE_SCHEMA_VERSION)
 
 
 def default_cache_dir() -> Path:
@@ -152,14 +146,13 @@ class ResultCache:
         """The stored entry for ``key``, or ``None`` (counted as a miss).
 
         A malformed entry — unparsable JSON, a non-object document, a
-        schema-valid object missing its ``"value"``, or a v3 entry whose
+        schema-valid object missing its ``"value"``, or an entry whose
         content checksum no longer matches — is a miss too: the file is
         quarantined aside (renamed ``*.json.corrupt``) so the search
         re-runs and overwrites it, instead of crashing on (or silently
         trusting) a truncated, bit-rotted, or hand-edited file.  A
         well-formed entry of an unknown schema version is an ordinary
-        miss (version skew, not damage); v2 entries predate the
-        checksum and are read without one.
+        miss (version skew, not damage), and so is a v2 entry.
         """
         if self.enabled:
             path = self._path(key)
@@ -174,12 +167,13 @@ class ResultCache:
                 entry = None  # file exists but is damaged
             if isinstance(entry, dict):
                 schema = entry.get("schema")
-                if schema in _READABLE_SCHEMAS:
+                # A v3 entry differs from v4 only by which keys reach it,
+                # so one that a v4 key does reach is byte-compatible.
+                if schema in (3, CACHE_SCHEMA_VERSION):
                     value = entry.get("value")
-                    if isinstance(value, dict) and (
-                        schema == 2
-                        or entry.get("crc") == _content_checksum(value)
-                    ):
+                    if isinstance(value, dict) and entry.get(
+                        "crc"
+                    ) == _content_checksum(value):
                         self.hits += 1
                         tracer = get_tracer()
                         tracer.event("cache.hit", key=key)

@@ -8,11 +8,12 @@ work-queue architecture:
   over the canonical sorted ring array
   (:func:`~repro.core.optimize.ring_candidate_array`): a shard payload
   carries ``(ring bounds, start, stop)`` and the worker re-derives its
-  slice locally, judging it through the vectorized
+  slice locally and tallies it through the vectorized
   :class:`~repro.core.optimize.BatchCandidateScanner` funnel (or the
-  scalar loop, for ``batch=False`` / ``method="paper"``).  Per-candidate
-  verdicts are merged back in the serial scan order, so the winner, the
-  verdict *and every stats counter* equal the serial search's exactly.
+  scalar reference, for ``batch=False`` / ``method="paper"``), stopping
+  at the slice's first valid candidate.  The parent folds the tallies in
+  shard order, so the winner, the verdict *and every stats counter*
+  equal the serial search's exactly.
   Shard granularity is cost-adaptive by default: a
   :class:`~repro.dse.partition.ShardAutotuner` feeds observed shard
   wall-times back into the fan-out decision, so cheap rings stay serial
@@ -47,21 +48,25 @@ from collections.abc import Callable, Sequence
 from contextlib import nullcontext
 from itertools import islice
 
-import numpy as np
-
 from ..core.conditions import check_conflict_free
 from ..core.mapping import MappingMatrix
 from ..core.optimize import (
+    Accept,
     BatchCandidateScanner,
+    RingTally,
     SearchResult,
+    _accept,
+    _lower_bound,
+    _scalar_tally,
     _warn_batch_disabled,
     batch_disabled_reason,
     batch_supported,
+    fold,
     ring_candidate_array,
     search_bounds,
 )
 from ..core.schedule import LinearSchedule
-from ..core.symmetry import SymmetryGroup, symmetry_group_for
+from ..core.symmetry import symmetry_group_for
 from ..intlin import as_intvec
 from ..core.space_optimize import (
     SpaceDesign,
@@ -113,12 +118,15 @@ logger = logging.getLogger("repro.dse.executor")
 #: threading a flag through every call site.
 JOBS_ENV_VAR = "REPRO_JOBS"
 
-# Per-candidate scan outcomes, in serial rejection order.
-_DEPS = "deps"          # Pi D <= 0 — pruned before the mapping is built
-_RANK = "rank"          # rank([S; Pi]) < k
-_CONFLICT = "conflict"  # conflict checker rejected
-_EXTRA = "extra"        # user extra_constraint rejected
-_OK = "ok"              # fully valid candidate
+# Work telemetry a schedule shard reports, keyed as it travels (and is
+# journaled), with the SearchStats field each key adds to.
+_SHARD_TELEMETRY = {
+    "batches": "batches_evaluated",
+    "promotions": "fastpath_promotions",
+    "orbits": "orbits_collapsed",
+    "skipped": "candidates_skipped",
+    "screens": "conflict_screens",
+}
 
 
 def resolve_jobs(jobs: int | None, max_useful: int | None = None) -> int:
@@ -321,20 +329,6 @@ def _shard_output(span: Span, payload: dict, data_key: str, data: list) -> dict:
     return out
 
 
-def _candidate_keys(
-    chunk: np.ndarray, mu: Sequence[int]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Serial sort keys ``(total_time, pi)`` for a slice of a ring array."""
-    if len(chunk) == 0:
-        return []
-    mu_arr = np.array([int(m) for m in mu], dtype=np.int64)
-    f = np.abs(chunk) @ mu_arr
-    return [
-        (int(f[i]) + 1, tuple(int(v) for v in chunk[i]))
-        for i in range(len(chunk))
-    ]
-
-
 def _shard_symmetry(payload: dict, algo: UniformDependenceAlgorithm):
     """Rebuild the funnel symmetry group inside a worker, if enabled.
 
@@ -349,99 +343,46 @@ def _shard_symmetry(payload: dict, algo: UniformDependenceAlgorithm):
     return group if group.order > 1 else None
 
 
-def _scan_schedule_shard(payload: dict) -> dict:
-    """Judge one shard of a schedule ring; returns per-candidate records.
+def _scan_schedule_shard(payload: dict, accept: Accept | None = None) -> dict:
+    """Tally one shard of a schedule ring.
 
     The payload names the ring (``(f_min, f_max)`` bounds) and a
     contiguous ``(start, stop)`` range of the canonical sorted ring
     array; the worker re-derives its slice locally via the cached
     :func:`~repro.core.optimize.ring_candidate_array` instead of
-    receiving candidates over the wire.  A record is ``(sort_key,
-    outcome)`` with ``sort_key = (total_time, pi)`` — the same total
-    order the serial scan sorts by — so the parent can merge shards
-    back into the exact serial visit sequence.
-
-    Pruning (``payload["symmetry"]`` / ``payload["min_f"]``) changes
-    only *how* a stage code is computed, never which code a candidate
-    gets — orbit members rehydrate their representative's stage, and
-    candidates whose budget sits below the LP lower bound take the
-    ``conflict`` verdict the screen would have produced — so the merged
-    record stream is identical to the unpruned one.
+    receiving candidates over the wire, and returns the slice's
+    :class:`~repro.core.optimize.RingTally` as a plain list: the prefix
+    counts up to the slice's first valid candidate and that candidate's
+    offset.  The parent folds tallies in shard order, which replays the
+    serial scan exactly.  ``accept`` (the in-process constrained path
+    only) is the ``extra_constraint`` hook.
     """
     maybe_slow()
     algo = _algorithm_from_spec(payload["algorithm"])
     space = payload["space"]  # tuple of IntVec rows, reused as-is
-    method = payload["method"]
     f_min, f_max = payload["ring"]
     start, stop = payload["span"]
     chunk = ring_candidate_array(algo.mu, f_max, f_min=f_min)[start:stop]
-    records: list[tuple[tuple[int, tuple[int, ...]], str]] = []
-    batches = promotions = 0
-    orbits = skipped = screens = 0
-    group = _shard_symmetry(payload, algo)
-    min_f = payload.get("min_f")
+    telemetry = SearchStats()
     span = _shard_span(payload, "schedule", len(chunk))
     with span:
-        if payload.get("batch"):
+        if payload["batch"]:
             scanner = BatchCandidateScanner(
-                algo, space, method=method,
-                batch_size=payload.get("batch_size"),
-                symmetry=group, min_feasible_f=min_f,
+                algo, space, method=payload["method"],
+                batch_size=payload["batch_size"],
+                symmetry=_shard_symmetry(payload, algo),
+                min_feasible_f=payload["min_f"],
             )
-            keys = _candidate_keys(chunk, algo.mu)
-            for offset, stages in scanner.iter_stages(chunk):
-                for i, stage in enumerate(stages):
-                    records.append((keys[offset + i], stage))
-            batches = scanner.batches_evaluated
-            promotions = scanner.fastpath_promotions
-            orbits = scanner.orbits_collapsed
-            skipped = scanner.candidates_skipped
-            screens = scanner.conflict_screens
+            tally = scanner.tally(chunk, accept)
+            scanner.add_telemetry(telemetry)
         else:
-            k = len(space) + 1
-            memo: dict[tuple[int, ...], str] = {}
-            for row in chunk:
-                pi = tuple(int(v) for v in row)
-                cand = LinearSchedule(pi=pi, index_set=algo.index_set)
-                key = cand.sort_key()
-                rep = None
-                if group is not None:
-                    rep = group.canonicalize(pi)
-                    hit = memo.get(rep)
-                    if hit is not None:
-                        orbits += 1
-                        records.append((key, hit))
-                        continue
-                if not cand.respects(algo):
-                    stage = _DEPS
-                else:
-                    t = MappingMatrix(space=space, schedule=pi)
-                    if t.rank() != k:
-                        stage = _RANK
-                    elif min_f is not None and key[0] - 1 < min_f:
-                        # Below the LP lower bound no candidate can be
-                        # conflict-free: the screen's verdict, without
-                        # running the screen.
-                        skipped += 1
-                        stage = _CONFLICT
-                    else:
-                        screens += 1
-                        stage = (
-                            _OK
-                            if check_conflict_free(
-                                t, algo.mu, method=method
-                            ).holds
-                            else _CONFLICT
-                        )
-                if rep is not None:
-                    memo[rep] = stage
-                records.append((key, stage))
-    out = _shard_output(span, payload, "records", records)
-    out["batches"] = batches
-    out["promotions"] = promotions
-    out["orbits"] = orbits
-    out["skipped"] = skipped
-    out["screens"] = screens
+            tally = _scalar_tally(
+                algo, space, chunk, accept, method=payload["method"],
+                min_f=payload["min_f"], telemetry=telemetry,
+            )
+    out = _shard_output(span, payload, "tally", list(tally))
+    for key, name in _SHARD_TELEMETRY.items():
+        out[key] = getattr(telemetry, name)
     return out
 
 
@@ -522,43 +463,16 @@ def _evaluate_joint_shard(payload: dict) -> dict:
 # -- journal transport ------------------------------------------------------
 
 # Shard outputs must round-trip through the checkpoint journal as plain
-# JSON.  Both encodings are exact — sort keys and costs are ints, the
+# JSON.  Both encodings are exact — tallies and costs are ints, the
 # objective float survives JSON unchanged — so a replayed shard merges
 # identically to a recomputed one.  Worker-side trace spans are dropped:
 # they belong to the run that produced them, not to the journal.
 
 
-def _encode_schedule_out(out: dict) -> dict:
-    # Records are ((t, pi), stage) tuples of ints; json renders tuples
-    # as arrays natively, so no per-record rebuild is needed (this is
-    # on the per-candidate checkpointing hot path).  Spans stay out of
-    # the journal either way.
-    return {
-        "records": out["records"],
-        "wall_time": out["wall_time"],
-        "batches": out.get("batches", 0),
-        "promotions": out.get("promotions", 0),
-        "orbits": out.get("orbits", 0),
-        "skipped": out.get("skipped", 0),
-        "screens": out.get("screens", 0),
-    }
-
-
-def _decode_schedule_out(data: dict) -> dict:
-    # ``.get(..., 0)`` on the pruning telemetry keeps journals written
-    # before the pruning release replayable (they carry no such keys).
-    return {
-        "records": [
-            ((int(key[0]), tuple(int(x) for x in key[1])), str(stage))
-            for key, stage in data["records"]
-        ],
-        "wall_time": data["wall_time"],
-        "batches": int(data.get("batches", 0)),
-        "promotions": int(data.get("promotions", 0)),
-        "orbits": int(data.get("orbits", 0)),
-        "skipped": int(data.get("skipped", 0)),
-        "screens": int(data.get("screens", 0)),
-    }
+def _schedule_record(out: dict) -> dict:
+    # A shard output is already plain JSON (the tally is a list of ints
+    # and None); journaling drops the spans, replaying reads it back.
+    return {key: out[key] for key in ("tally", "wall_time", *_SHARD_TELEMETRY)}
 
 
 def _encode_design_out(out: dict) -> dict:
@@ -956,7 +870,12 @@ def _scan_rings(
     ring_bound: bool,
     tracer,
 ) -> SearchResult:
-    """The ring loop of Procedure 5.1, sharded; fills ``stats`` in place."""
+    """The ring loop of Procedure 5.1, sharded; fills ``stats`` in place.
+
+    Each shard returns its slice's tally; folding them in shard order
+    and stopping at the first shard with a winner replays the serial
+    scan, so every counter equals :func:`procedure_5_1`'s.
+    """
     mu = algorithm.mu
     examined = 0
     rings = 0
@@ -968,21 +887,8 @@ def _scan_rings(
         reason = batch_disabled_reason(method, max_bound)
         stats.batch_disabled_reason = reason
         _warn_batch_disabled(reason)
-    # Pruning setup mirrors the serial procedure_5_1 exactly: orbit
-    # collapsing only under the exact conflict deciders (the paper's
-    # sufficient conditions are not syntactically symmetric), and the
-    # LP ring bound degrading to "no bound" on any solver failure.
-    group: SymmetryGroup | None = None
-    if symmetry and method in ("auto", "exact"):
-        group = symmetry_group_for(algorithm, space_rows)
-        if group.order <= 1:
-            group = None
-    min_f: int | None = None
-    bound_reason: str | None = None
-    if ring_bound:
-        from ..core.ilp_formulation import schedule_lower_bound
-
-        min_f, bound_reason = schedule_lower_bound(algorithm, space_rows)
+    min_f, bound_reason = _lower_bound(algorithm, space_rows, ring_bound)
+    accept = _accept(space_rows, extra_constraint)
     tuner = (
         ShardAutotuner(jobs=jobs, calibration=_calibration_seconds(control))
         if adaptive
@@ -1002,17 +908,8 @@ def _scan_rings(
             ring_arr = ring_candidate_array(mu, f_max, f_min=f_min)
             total = len(ring_arr)
             stats.candidates_enumerated += total
-            # The autotuner's work measure is orbit *representatives*
-            # when symmetry collapsing is on: shard ranges still cover
-            # every enumerated candidate (the merge needs every record),
-            # but the cost of a ring is what actually gets evaluated.
-            reps = total
-            if group is not None and total:
-                reps = len(
-                    np.unique(group.canonicalize_rows(ring_arr), axis=0)
-                )
             if tuner is not None:
-                shards = tuner.shards_for(total, representatives=reps)
+                shards = tuner.shards_for(total)
             else:
                 shards = effective_shards(total, jobs)
             max_shards = max(max_shards, shards)
@@ -1026,64 +923,47 @@ def _scan_rings(
                     "span": (start, stop),
                     "batch": use_batch,
                     "batch_size": batch_size,
-                    "symmetry": group is not None,
+                    # The worker drops groups of order 1 itself.
+                    "symmetry": symmetry and method in ("auto", "exact"),
                     "min_f": min_f,
                     "trace": trace,
                 }
                 for start, stop in ring_ranges(total, shards)
             ]
-            if extra_constraint is None:
+            if accept is None:
                 outs = _run_shards(
                     runner, _scan_schedule_shard, payloads, control,
-                    kind="schedule", ring=rings, content_key="span",
-                    encode=_encode_schedule_out, decode=_decode_schedule_out,
+                    kind="schedule-tally", ring=rings, content_key="span",
+                    encode=_schedule_record, decode=_schedule_record,
                 )
             else:
-                outs = [
-                    _scan_constrained_shard(p, extra_constraint)
-                    for p in payloads
-                ]
-            records = [rec for out in outs for rec in out["records"]]
+                # The live callback stays in this process, and shards run
+                # one at a time so it sees exactly the serial sequence.
+                outs = []
+                for payload in payloads:
+                    outs.append(_scan_schedule_shard(payload, accept))
+                    if outs[-1]["tally"][-1] is not None:
+                        break
             stats.shard_wall_times = stats.shard_wall_times + tuple(
                 out["wall_time"] for out in outs
             )
-            ring_batches = sum(out.get("batches", 0) for out in outs)
-            ring_promotions = sum(out.get("promotions", 0) for out in outs)
-            stats.batches_evaluated += ring_batches
-            stats.fastpath_promotions += ring_promotions
-            stats.orbits_collapsed += sum(out.get("orbits", 0) for out in outs)
-            stats.candidates_skipped += sum(
-                out.get("skipped", 0) for out in outs
-            )
-            stats.conflict_screens += sum(
-                out.get("screens", 0) for out in outs
-            )
+            for key, name in _SHARD_TELEMETRY.items():
+                setattr(stats, name, getattr(stats, name) + sum(out[key] for out in outs))
             if tuner is not None:
                 # Feed only journal-exact signals (shard wall times) so a
-                # resumed run re-derives identical shard ranges.  The work
-                # measure matches shards_for: representatives, since those
-                # are what the shard wall time was spent on.
-                tuner.observe(reps, sum(out["wall_time"] for out in outs))
+                # resumed run re-derives identical shard ranges.
+                tuner.observe(total, sum(out["wall_time"] for out in outs))
             for shard_idx, out in enumerate(outs):
                 tracer.absorb(out.get("spans"), shard=shard_idx, ring=rings)
 
-            # Deterministic merge: replay the serial visit order.
-            for key, stage in sorted(records):
-                if stage == _DEPS:
-                    stats.candidates_pruned += 1
-                    continue
-                examined += 1
-                if stage == _RANK:
-                    stats.candidates_pruned += 1
-                    continue
-                stats.candidates_checked += 1
-                if stage == _CONFLICT:
-                    stats.conflicts_rejected += 1
-                    continue
-                if stage == _EXTRA:
-                    continue
-                winner_pi = tuple(key[1])
-                break
+            for payload, out in zip(payloads, outs):
+                tally = RingTally(*out["tally"])
+                fold(stats, tally)
+                examined += tally.examined
+                if tally.winner is not None:
+                    row = ring_arr[payload["span"][0] + tally.winner]
+                    winner_pi = tuple(row.tolist())
+                    break
         if control is not None:
             # Materialize the closed ring span as a progress event: a
             # subscriber sees the same data a --trace file would hold.
@@ -1092,7 +972,8 @@ def _scan_rings(
             control.emit_span(
                 ring_span, winner=winner_pi is not None,
                 candidates=total, shards=shards,
-                batches=ring_batches, promotions=ring_promotions,
+                batches=sum(out["batches"] for out in outs),
+                promotions=sum(out["promotions"] for out in outs),
             )
         if winner_pi is not None:
             logger.debug(
@@ -1106,8 +987,26 @@ def _scan_rings(
     if tuner is not None:
         stats.shards_autotuned = tuner.autotuned
     runner.apply_telemetry(stats)
+    return _schedule_result(
+        algorithm, space_rows, method, winner_pi, examined, rings, stats
+    )
 
-    if winner_pi is None:
+
+def _schedule_result(
+    algorithm: UniformDependenceAlgorithm,
+    space_rows: tuple,
+    method: str,
+    pi: tuple[int, ...] | None,
+    examined: int,
+    rings: int,
+    stats: SearchStats,
+) -> SearchResult:
+    """The search result for winner ``pi`` (``None``: nothing found).
+
+    The verdict is recomputed with the checker call the serial search
+    makes, so the result equals the serial one.
+    """
+    if pi is None:
         return SearchResult(
             schedule=None,
             mapping=None,
@@ -1116,11 +1015,11 @@ def _scan_rings(
             rings_expanded=rings,
             stats=stats,
         )
-    mapping = MappingMatrix(space=space_rows, schedule=winner_pi)
+    mapping = MappingMatrix(space=space_rows, schedule=pi)
     return SearchResult(
-        schedule=LinearSchedule(pi=winner_pi, index_set=algorithm.index_set),
+        schedule=LinearSchedule(pi=pi, index_set=algorithm.index_set),
         mapping=mapping,
-        verdict=check_conflict_free(mapping, mu, method=method),
+        verdict=check_conflict_free(mapping, algorithm.mu, method=method),
         candidates_examined=examined,
         rings_expanded=rings,
         stats=stats,
@@ -1139,25 +1038,6 @@ def _schedule_entry_from_result(result: SearchResult) -> dict:
     }
 
 
-def _scan_constrained_shard(
-    payload: dict, extra_constraint: Callable[[MappingMatrix], bool]
-) -> dict:
-    """In-process variant of :func:`_scan_schedule_shard` that applies the
-    (non-picklable) user constraint after the conflict check, exactly
-    where the serial scan applies it."""
-    out = _scan_schedule_shard(payload)
-    space = payload["space"]
-    records = []
-    for key, stage in out["records"]:
-        if stage == _OK and not extra_constraint(
-            MappingMatrix(space=space, schedule=key[1])
-        ):
-            stage = _EXTRA
-        records.append((key, stage))
-    out["records"] = records
-    return out
-
-
 def _schedule_result_from_entry(
     algorithm: UniformDependenceAlgorithm,
     space_rows: tuple[tuple[int, ...], ...],
@@ -1173,24 +1053,10 @@ def _schedule_result_from_entry(
     """
     stats = SearchStats.from_dict(entry["counters"])
     stats.cache_hits = 1
-    if not entry["found"]:
-        return SearchResult(
-            schedule=None,
-            mapping=None,
-            verdict=None,
-            candidates_examined=entry["candidates_examined"],
-            rings_expanded=entry["rings_expanded"],
-            stats=stats,
-        )
-    pi = tuple(entry["pi"])
-    mapping = MappingMatrix(space=space_rows, schedule=pi)
-    return SearchResult(
-        schedule=LinearSchedule(pi=pi, index_set=algorithm.index_set),
-        mapping=mapping,
-        verdict=check_conflict_free(mapping, algorithm.mu, method=method),
-        candidates_examined=entry["candidates_examined"],
-        rings_expanded=entry["rings_expanded"],
-        stats=stats,
+    pi = tuple(entry["pi"]) if entry["found"] else None
+    return _schedule_result(
+        algorithm, space_rows, method, pi,
+        entry["candidates_examined"], entry["rings_expanded"], stats,
     )
 
 

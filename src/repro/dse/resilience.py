@@ -137,8 +137,19 @@ def _output_ok(out: object) -> bool:
         return False
     if not isinstance(out.get("wall_time"), (int, float)):
         return False
-    data = out.get("records", out.get("evaluated"))
-    return isinstance(data, list)
+    if "tally" in out:
+        return _tally_ok(out["tally"])
+    return isinstance(out.get("evaluated"), list)
+
+
+def _tally_ok(tally: object) -> bool:
+    """A schedule shard's tally: four counts, then a winner offset or None."""
+    if not isinstance(tally, list) or len(tally) != 5:
+        return False
+    *counts, winner = tally
+    return all(type(c) is int and c >= 0 for c in counts) and (
+        winner is None or (type(winner) is int and winner >= 0)
+    )
 
 
 # -- policy -----------------------------------------------------------------

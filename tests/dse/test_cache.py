@@ -191,15 +191,18 @@ class TestContentChecksum:
         assert cache.get(key) is None
         assert cache.quarantined == 1
 
-    def test_v2_entry_without_checksum_still_reads(self, tmp_path):
-        # Read compatibility: v2 predates the checksum and stays valid.
+    def test_v2_entry_is_a_miss_not_quarantined(self, tmp_path):
+        # Older schemas are not read: a stale entry is version skew, not
+        # damage, so it misses without being quarantined.
         cache = ResultCache(tmp_path)
         key = canonical_key({"q": 33})
-        (tmp_path / f"{key}.json").write_text(
+        path = tmp_path / f"{key}.json"
+        path.write_text(
             json.dumps({"schema": 2, "value": {"found": False, "pi": None}})
         )
-        assert cache.get(key) == {"found": False, "pi": None}
-        assert cache.hits == 1 and cache.quarantined == 0
+        assert cache.get(key) is None
+        assert cache.misses == 1 and cache.quarantined == 0
+        assert path.exists()
 
     def test_checksum_survives_key_reordering(self, tmp_path):
         # sort_keys canonicalization: rewriting the file with different

@@ -172,25 +172,9 @@ class TestShardAutotuner:
         with pytest.raises(ValueError):
             tuner.observe(1, -0.5)
 
-    def test_representatives_drive_the_cost_prediction(self):
-        # 200 enumerated candidates of which only 5 are orbit reps:
-        # the predicted cost must use 5, keeping the ring serial even
-        # though 200 raw candidates would clear the fan-out bar.
-        tuner = ShardAutotuner(jobs=8)
-        tuner.observe(100, 1.0)  # 10 ms per representative
-        assert tuner.shards_for(200) == 8
-        assert tuner.shards_for(200, representatives=5) == 1
-
-    def test_representatives_none_matches_plain_call(self):
-        a = ShardAutotuner(jobs=8)
-        b = ShardAutotuner(jobs=8)
-        a.observe(100, 1.0)
-        b.observe(100, 1.0)
-        assert a.shards_for(300) == b.shards_for(300, representatives=None)
-
     def test_shard_cap_stays_at_enumerated_count(self):
-        # Fan-out is capped by how many candidates can be dealt, not by
-        # how many representatives exist: ranges cover every candidate.
+        # Fan-out is capped by how many candidates can be dealt: a ring
+        # of three is never cut into more than three ranges.
         tuner = ShardAutotuner(jobs=8)
-        tuner.observe(10, 10.0)  # 1 s per representative: always fan out
-        assert tuner.shards_for(3, representatives=3) == 3
+        tuner.observe(10, 10.0)  # 1 s per candidate: always fan out
+        assert tuner.shards_for(3) == 3

@@ -13,22 +13,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import matrix_multiplication, transitive_closure
-from repro.core.conditions import check_conflict_free
 from repro.core.conflict import batch_distinct_image_counts
-from repro.core.mapping import MappingMatrix
+from repro.core.ilp_formulation import schedule_lower_bound
 from repro.core.optimize import (
     BatchCandidateScanner,
+    _scalar_tally,
     find_all_optima,
     procedure_5_1,
     ring_candidate_array,
 )
 from repro.core.schedule import LinearSchedule
+from repro.core.symmetry import symmetry_group_for
+from repro.dse.executor import explore_schedule
 from repro.core.space_optimize import (
     enumerate_space_mappings,
     evaluate_design,
     evaluate_designs_batched,
 )
-from repro.intlin import INT64_MAX, as_intmat, batch_matmul, batch_point_images
+from repro.intlin import INT64_MAX, as_intmat, as_intvec, batch_matmul, batch_point_images
 from repro.model import ConstantBoundedIndexSet, UniformDependenceAlgorithm
 
 
@@ -76,34 +78,6 @@ class TestSearchEquivalence:
         assert [r.schedule.pi for r in batched] == [
             r.schedule.pi for r in scalar
         ]
-
-    @given(algorithm_and_space())
-    @settings(max_examples=30, deadline=None)
-    def test_scanner_stage_codes_match_scalar_funnel(self, case):
-        algo, space = case
-        f_max = sum(algo.mu) + 2
-        pis = ring_candidate_array(algo.mu, f_max)
-        scanner = BatchCandidateScanner(algo, space, batch_size=7)
-        batched = [
-            stage
-            for _, stages in scanner.iter_stages(pis)
-            for stage in stages
-        ]
-        k = len(space) + 1
-        expected = []
-        for row in pis:
-            pi = tuple(int(v) for v in row)
-            cand = LinearSchedule(pi=pi, index_set=algo.index_set)
-            if not cand.respects(algo):
-                expected.append("deps")
-                continue
-            t = MappingMatrix(space=space, schedule=pi)
-            if t.rank() != k:
-                expected.append("rank")
-                continue
-            holds = check_conflict_free(t, algo.mu, method="auto").holds
-            expected.append("ok" if holds else "conflict")
-        assert batched == expected
 
 
 def reject_first(count):
@@ -170,6 +144,102 @@ class TestExtraConstraintFold:
         )
         assert batched == scalar
         assert batched.stats.counter_dict() == scalar.stats.counter_dict()
+
+
+def refuse_first(count):
+    """An ``accept`` hook refusing the first ``count`` vectors it sees."""
+    seen = []
+
+    def accept(pi):
+        seen.append(pi)
+        return len(seen) > count
+
+    accept.seen = seen
+    return accept
+
+
+class TestRingTally:
+    """``BatchCandidateScanner.tally`` equals the scalar reference
+    ``_scalar_tally`` on any contiguous slice of a ring, field by field
+    (winner offset included), with and without an ``accept`` hook and
+    with each pruner on or off."""
+
+    @given(
+        algorithm_and_space(),
+        st.integers(0, 6),
+        st.data(),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_tally_matches_scalar_reference(
+        self, case, extra, data, symmetry, ring_bound, reject
+    ):
+        algo, space = case
+        space_rows = tuple(as_intvec(row) for row in space)
+        f_max = sum(algo.mu) + extra
+        pis = ring_candidate_array(algo.mu, f_max)
+        start = data.draw(st.integers(0, len(pis)), label="start")
+        stop = data.draw(st.integers(start, len(pis)), label="stop")
+        group = symmetry_group_for(algo, space_rows) if symmetry else None
+        min_f = schedule_lower_bound(algo, space_rows)[0] if ring_bound else None
+        # reject == 0 runs without a hook at all.
+        hooks = [refuse_first(reject), refuse_first(reject)] if reject else [None, None]
+        scanner = BatchCandidateScanner(
+            algo, space_rows, batch_size=7, symmetry=group, min_feasible_f=min_f
+        )
+        batched = scanner.tally(pis[start:stop], hooks[0])
+        scalar = _scalar_tally(
+            algo, space_rows, pis[start:stop], hooks[1], min_f=min_f
+        )
+        assert batched == scalar
+        assert batched._asdict() == scalar._asdict()
+        if reject:
+            assert hooks[0].seen == hooks[1].seen
+
+
+EXAMPLES = [
+    (matrix_multiplication(6), ((1, 1, -1),)),
+    (matrix_multiplication(8), ((1, 1, -1),)),
+    (transitive_closure(5), ((0, 0, 1),)),
+    (transitive_closure(6), ((0, 0, 1),)),
+]
+
+
+class TestShardedEqualsSerial:
+    """Examples 5.1/5.2 through the sharded engine, every ring split into
+    several shards, equal the serial search including its counters."""
+
+    @pytest.mark.parametrize("algo,space", EXAMPLES, ids=lambda c: getattr(c, "name", None))
+    def test_two_shards_per_ring(self, algo, space):
+        serial = procedure_5_1(algo, space)
+        sharded = explore_schedule(algo, space, jobs=2, adaptive=False)
+        assert sharded == serial
+        assert sharded.stats.counter_dict() == serial.stats.counter_dict()
+        assert sharded.stats.shards == 2
+
+    @pytest.mark.parametrize("algo,space", EXAMPLES, ids=lambda c: getattr(c, "name", None))
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_constraint_sees_the_serial_sequence(self, algo, space, count):
+        """``extra_constraint`` is consulted on exactly the serial scan's
+        conflict-free candidates, up to the winner, whatever the
+        execution strategy: never on candidates past the winner."""
+        runs = [
+            lambda c: procedure_5_1(algo, space, extra_constraint=c),
+            lambda c: explore_schedule(algo, space, jobs=1, extra_constraint=c),
+            lambda c: explore_schedule(
+                algo, space, jobs=2, adaptive=False, extra_constraint=c
+            ),
+        ]
+        seen, results = [], []
+        for run in runs:
+            constraint = reject_first(count)
+            results.append(run(constraint))
+            seen.append(constraint.seen)
+        assert seen[0] == seen[1] == seen[2]
+        assert len(seen[0]) == count + 1
+        assert results[0] == results[1] == results[2]
 
 
 class TestSpaceEquivalence:
