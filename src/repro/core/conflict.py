@@ -7,7 +7,9 @@ Implements the backbone of Sections 2-4:
 * **Theorem 2.2** — a conflict vector is feasible iff some entry
   exceeds the corresponding problem-size bound;
 * **Equation 3.2 / Theorem 3.1** — the closed-form unique conflict
-  vector for co-rank-1 mappings via the adjugate;
+  vector for co-rank-1 mappings via the adjugate, and its Proposition
+  3.2 form as linear functionals of ``Pi`` — which decides a whole batch
+  of co-rank-1 schedules with one matrix product;
 * **Theorems 4.1-4.2** — the Hermite-normal-form generator set
   ``u_{k+1}, ..., u_n`` of *all* conflict vectors;
 * two *exact* deciders used as oracles throughout the test-suite and
@@ -37,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ..intlin import IntVec, hnf_cached, normalize_primitive
+from ..intlin import IntVec, det_bareiss, hnf_cached, normalize_primitive
 from ..model import ConstantBoundedIndexSet
 from .mapping import MappingMatrix
 
@@ -46,6 +48,8 @@ __all__ = [
     "is_feasible_conflict_vector",
     "conflict_vector_corank1",
     "conflict_vector_via_adjugate",
+    "conflict_functional_rows",
+    "batch_theorem_3_1",
     "conflict_generators",
     "batch_distinct_image_counts",
     "distinct_image_count",
@@ -113,6 +117,46 @@ def conflict_vector_via_adjugate(t: MappingMatrix) -> IntVec:
             gamma[drop] = det_b
             return IntVec(normalize_primitive(gamma))
     raise ValueError("mapping matrix does not have full row rank")
+
+
+def conflict_functional_rows(
+    space: Sequence[Sequence[int]], n: int
+) -> list[list[int]]:
+    """Coefficient rows of the linear functionals ``f_i`` (Prop 3.2).
+
+    ``f_i(Pi)`` is (up to a global sign convention) the ``i``-th entry
+    of the unique conflict vector of ``[S; Pi]``: the signed maximal
+    minor of ``T`` obtained by deleting column ``i``.  Each ``f_i`` is
+    linear in ``Pi`` (determinant expansion along the last row), so
+    ``f_i(Pi) = rows[i] . Pi``; the coefficient of ``pi_j`` is read off
+    by evaluating at the unit vectors.
+
+    For the paper's Example 3.1 (``S = [1, 1, -1]``) this returns the
+    rows of Equation 3.5: ``gamma = (-pi_2 - pi_3, pi_1 + pi_3,
+    pi_1 - pi_2)``.
+    """
+    space_rows = [list(map(int, row)) for row in space]
+    if len(space_rows) != n - 2:
+        raise ValueError(
+            f"co-rank-1 formulation needs S with n-2={n - 2} rows, "
+            f"got {len(space_rows)}"
+        )
+    rows: list[list[int]] = []
+    for i in range(n):
+        coeff = []
+        for j in range(n):
+            if j == i:
+                coeff.append(0)
+                continue
+            pi_unit = [0] * n
+            pi_unit[j] = 1
+            t_full = space_rows + [pi_unit]
+            cols = [c for c in range(n) if c != i]
+            minor_mat = [[row[c] for c in cols] for row in t_full]
+            sign = -1 if i % 2 else 1
+            coeff.append(sign * det_bareiss(minor_mat))
+        rows.append(coeff)
+    return rows
 
 
 def conflict_generators(t: MappingMatrix) -> list[IntVec]:
@@ -293,6 +337,27 @@ def batch_distinct_image_counts(
     keys.sort(axis=0)
     counts[idx] = 1 + np.count_nonzero(keys[1:] != keys[:-1], axis=0)
     return counts
+
+
+def batch_theorem_3_1(
+    pis: np.ndarray, functionals: np.ndarray, mu: np.ndarray
+) -> np.ndarray:
+    """Theorem 3.1 for a batch of co-rank-1 schedules, as a boolean mask.
+
+    ``functionals`` is :func:`conflict_functional_rows` of the shared
+    ``S`` (as an ``(n, n)`` int64 array), so row ``c`` of ``pis @
+    functionals.T`` is a non-primitive multiple of ``[S; pis[c]]``'s
+    unique conflict vector (Prop 3.2).  The primitive vector leaves the
+    box ``[-mu, mu]`` iff ``|gamma_i| > gcd(gamma) * mu_i`` for some
+    ``i`` — no division, no index points.  A rank-deficient row has
+    ``gamma = 0`` and reads as not conflict-free.
+
+    The caller certifies the int64 range: ``max|pi| * n * max|F| * max
+    mu`` must not exceed ``INT64_MAX``.
+    """
+    gamma = np.abs(pis @ functionals.T)
+    g = np.gcd.reduce(gamma, axis=1)
+    return (gamma > g[:, None] * mu[None, :]).any(axis=1)
 
 
 def _exact_beta_bounds(

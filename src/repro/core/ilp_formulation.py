@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..ilp import LinearProgram, enumerate_vertices, solve_ilp
-from ..intlin import det_bareiss
 from ..model import UniformDependenceAlgorithm
 from .conditions import theorem_3_1
+from .conflict import conflict_functional_rows
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule
 
@@ -40,46 +40,6 @@ __all__ = [
     "schedule_lower_bound",
     "solve_corank1_optimal",
 ]
-
-
-def conflict_functional_rows(
-    space: Sequence[Sequence[int]], n: int
-) -> list[list[int]]:
-    """Coefficient rows of the linear functionals ``f_i`` (Prop 3.2).
-
-    ``f_i(Pi)`` is (up to a global sign convention) the ``i``-th entry
-    of the unique conflict vector of ``[S; Pi]``: the signed maximal
-    minor of ``T`` obtained by deleting column ``i``.  Each ``f_i`` is
-    linear in ``Pi`` (determinant expansion along the last row), so
-    ``f_i(Pi) = rows[i] . Pi``; the coefficient of ``pi_j`` is read off
-    by evaluating at the unit vectors.
-
-    For the paper's Example 3.1 (``S = [1, 1, -1]``) this returns the
-    rows of Equation 3.5: ``gamma = (-pi_2 - pi_3, pi_1 + pi_3,
-    pi_1 - pi_2)``.
-    """
-    space_rows = [list(map(int, row)) for row in space]
-    if len(space_rows) != n - 2:
-        raise ValueError(
-            f"co-rank-1 formulation needs S with n-2={n - 2} rows, "
-            f"got {len(space_rows)}"
-        )
-    rows: list[list[int]] = []
-    for i in range(n):
-        coeff = []
-        for j in range(n):
-            if j == i:
-                coeff.append(0)
-                continue
-            pi_unit = [0] * n
-            pi_unit[j] = 1
-            t_full = space_rows + [pi_unit]
-            cols = [c for c in range(n) if c != i]
-            minor_mat = [[row[c] for c in cols] for row in t_full]
-            sign = -1 if i % 2 else 1
-            coeff.append(sign * det_bareiss(minor_mat))
-        rows.append(coeff)
-    return rows
 
 
 def build_corank1_subproblems(

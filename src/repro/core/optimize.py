@@ -38,7 +38,11 @@ from ..intlin.batch import (
 from ..obs import get_tracer
 from ..model import UniformDependenceAlgorithm
 from .conditions import ConditionVerdict, check_conflict_free
-from .conflict import batch_distinct_image_counts
+from .conflict import (
+    batch_distinct_image_counts,
+    batch_theorem_3_1,
+    conflict_functional_rows,
+)
 from .mapping import MappingMatrix
 from .schedule import LinearSchedule, objective_f
 from .symmetry import SymmetryGroup, symmetry_group_for
@@ -322,11 +326,15 @@ class BatchCandidateScanner:
     :meth:`tally` evaluates a contiguous slice of a ring: a vectorized
     ``Pi D > 0`` dependence mask over the whole slice, a vectorized rank
     screen (``Pi`` against the kernel basis of ``S``) on its survivors,
-    then the exact vectorized conflict-image screen (mixed-radix
-    distinct-row counts of ``[S j | Pi j]`` over the whole index box) on
-    the deps+rank survivors only, chunk by chunk, stopping at the first
-    accepted conflict-free candidate.  Only the candidates whose int64
-    bounds cannot be certified are promoted to the scalar exact
+    then an exact vectorized conflict screen on the deps+rank survivors
+    only, chunk by chunk, stopping at the first accepted conflict-free
+    candidate.  The screen follows the paper's Step 5(3) dispatch by
+    co-rank: co-rank 0 is always conflict-free, co-rank 1 uses Theorem
+    3.1's closed form (:func:`~repro.core.conflict.batch_theorem_3_1`,
+    one ``n x n`` product per chunk), and co-rank >= 2 counts the
+    distinct rows of ``[S j | Pi j]`` over the whole index box
+    (mixed-radix keys).  Only the candidates whose int64 bounds cannot
+    be certified are promoted to the scalar exact
     :func:`~repro.core.conditions.check_conflict_free` path.  The result
     equals :func:`_scalar_tally`'s, the one-candidate-at-a-time
     reference.
@@ -407,6 +415,23 @@ class BatchCandidateScanner:
                 # Row-deficient S (or S already spanning Q^n): no Pi can
                 # lift [S; Pi] to rank k.
                 self._rank_mode = "all-fail"
+        # Co-rank 1: Theorem 3.1's closed form decides the screen, so no
+        # index points are ever built (see _screen).
+        self._functionals: np.ndarray | None = None
+        self._gamma_thr = INT64_MAX
+        if self.k == self.n - 1:
+            f_rows = conflict_functional_rows(self.space_rows, self.n)
+            # |gamma| <= max|pi| * n * max|F| and gcd * mu <= |gamma| * mu:
+            # certified in Python ints.  A zero threshold promotes every
+            # row, so F need not fit int64 then.
+            f_max = max(abs(x) for row in f_rows for x in row)
+            scale = self.n * f_max * max(int(m) for m in algorithm.mu)
+            self._gamma_thr = INT64_MAX // max(1, scale)
+            self._functionals = (
+                np.array(f_rows, dtype=np.int64)
+                if self._gamma_thr
+                else np.zeros((self.n, self.n), dtype=np.int64)
+            )
         self._conflict_ready = False
         self._pts: np.ndarray | None = None
         self._n_pts = 0
@@ -482,6 +507,17 @@ class BatchCandidateScanner:
             if todo.size == 0:
                 return ok
         self.conflict_screens += int(todo.size)
+        if self._functionals is not None:
+            # Co-rank 1: one conflict vector, linear in Pi (Prop 3.2).
+            certified = np.abs(rows[todo]).max(axis=1, initial=0) <= self._gamma_thr
+            fast_idx = todo[certified]
+            if fast_idx.size:
+                ok[fast_idx] = batch_theorem_3_1(
+                    rows[fast_idx], self._functionals, self._mu_arr
+                )
+            for i in todo[~certified].tolist():
+                ok[i] = self._scalar_conflict(rows[i])
+            return ok
         if not self._conflict_ready:
             self._prepare_conflict()
         assert self._pts is not None and self._fixed is not None
@@ -878,7 +914,8 @@ def find_all_optima(
     exhaustively in the search's documented
     :meth:`~repro.core.schedule.LinearSchedule.sort_key` order, through
     the same ring evaluator (and ``batch``/``batch_size``/``symmetry``
-    keywords) as :func:`procedure_5_1`.
+    keywords) as :func:`procedure_5_1`.  An ``extra_constraint`` applies
+    to the sweep as to the search: only ties it accepts are returned.
 
     Each returned result carries its *own* :class:`SearchStats` copy
     (same counter values — one search was performed); mutating one
@@ -891,10 +928,13 @@ def find_all_optima(
     mu = algorithm.mu
     space_rows = tuple(as_intvec(row) for row in space)
     best_f = first.schedule.f
+    constraint = kwargs.get("extra_constraint")
     results: list[SearchResult] = []
 
     def record(pi: tuple[int, ...]) -> bool:
         t = MappingMatrix(space=space_rows, schedule=pi)
+        if constraint is not None and not constraint(t):
+            return False
         results.append(
             SearchResult(
                 schedule=LinearSchedule(pi=pi, index_set=algorithm.index_set),

@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
+from ..core.conflict import distinct_image_count
 from ..core.mapping import MappingMatrix
 from ..model import UniformDependenceAlgorithm
 from .interconnect import InterconnectionPlan, plan_interconnection
@@ -72,14 +73,14 @@ def processor_count(
     """``|S(J)|``: distinct processor coordinates over the index set.
 
     For the common case of an interval/box image this is closed-form,
-    but arbitrary ``S`` images need not be dense, so we enumerate
-    exactly.
+    but arbitrary ``S`` images need not be dense, so we count the
+    distinct rows of ``S`` applied to every index point exactly.
     """
     smat = mapping.space_matrix
     if not smat.nrows:
         return 1
-    return len(
-        {smat.matvec(j) for j in algorithm.index_set}
+    return distinct_image_count(
+        smat.image_of_points(algorithm.index_set.points_array())
     )
 
 

@@ -14,6 +14,9 @@ dependence's data link (the "three buffers" of Figure 2).
 Routing solves, per dependence, the minimum-hop integer program
 ``min 1.K_i`` s.t. ``P K_i = S d_i``, ``K_i >= 0`` with our
 branch-and-bound solver — exactly the quantity Equation 2.3 bounds.
+When every primitive is a distinct signed unit vector (the
+nearest-neighbor default) the program's unique optimum is read off in
+closed form instead.
 
 The appendix's link-collision criterion is also provided: when every
 column of ``K`` uses each primitive at most once in total (the paper's
@@ -115,6 +118,20 @@ class InterconnectionPlan:
         return [[self.usage[j][i] for j in range(r)] for i in range(m)]
 
 
+def _unit_columns(primitives: list[list[int]]) -> dict[tuple[int, int], int] | None:
+    """``{(axis, sign): column}`` when every column of ``P`` is a distinct
+    signed unit vector (as for :func:`nearest_neighbor_primitives`), else
+    ``None``."""
+    r = len(primitives[0]) if primitives and primitives[0] else 0
+    columns: dict[tuple[int, int], int] = {}
+    for col in range(r):
+        nonzero = [(row, p[col]) for row, p in enumerate(primitives) if p[col]]
+        if len(nonzero) != 1 or abs(nonzero[0][1]) != 1 or nonzero[0] in columns:
+            return None
+        columns[nonzero[0]] = col
+    return columns
+
+
 def _route_one(
     primitives: list[list[int]],
     target: list[int],
@@ -125,7 +142,6 @@ def _route_one(
     Returns the usage vector ``K_i`` (length ``r``); raises
     :class:`RoutingError` when infeasible or over budget.
     """
-    dim = len(target)
     r = len(primitives[0]) if primitives and primitives[0] else 0
     if all(x == 0 for x in target):
         return [0] * r
@@ -133,6 +149,39 @@ def _route_one(
         raise RoutingError(
             f"displacement {target} is non-zero but the array has no links"
         )
+    units = _unit_columns(primitives)
+    if units is not None:
+        return _route_unit(units, target, budget)
+    return _route_ilp(primitives, target, budget)
+
+
+def _route_unit(
+    units: dict[tuple[int, int], int], target: list[int], budget: int
+) -> list[int]:
+    """:func:`_route_ilp`'s answer for unit-vector primitives, in closed form.
+
+    Any hop against an axis's direction must be undone by another, so
+    the unique min-hop route takes ``|t_axis|`` hops along the column
+    ``(axis, sign(t_axis))``.
+    """
+    k = [0] * len(units)  # one entry per column of P
+    for axis, t in enumerate(target):
+        if not t:
+            continue
+        col = units.get((axis, 1 if t > 0 else -1))
+        if col is None or abs(t) > budget:
+            # Unreachable, or past the ILP's per-primitive bound [0, budget].
+            raise RoutingError(f"no primitive decomposition of displacement {target}")
+        k[col] = abs(t)
+    return _within_budget(k, target, budget)
+
+
+def _route_ilp(
+    primitives: list[list[int]], target: list[int], budget: int
+) -> list[int]:
+    """Min-hop route of a non-zero ``target`` by integer programming."""
+    dim = len(target)
+    r = len(primitives[0])
     a_eq = [[float(primitives[row][col]) for col in range(r)] for row in range(dim)]
     b_eq = [float(x) for x in target]
     names = [f"k_{j}" for j in range(r)]
@@ -154,7 +203,11 @@ def _route_one(
         )
     if not sol.ok:
         raise RoutingError(f"no primitive decomposition of displacement {target}")
-    k = list(sol.x_int())
+    return _within_budget(list(sol.x_int()), target, budget)
+
+
+def _within_budget(k: list[int], target: list[int], budget: int) -> list[int]:
+    """``k`` itself, or :class:`RoutingError` when Equation 2.3 fails."""
     if sum(k) > budget:
         raise RoutingError(
             f"displacement {target} needs {sum(k)} hops but the schedule "

@@ -220,3 +220,19 @@ class TestFindAllOptima:
         assert first.stats == second.stats  # same values...
         first.stats.wall_time += 123.0      # ...but independent objects
         assert second.stats.wall_time != first.stats.wall_time
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_tie_sweep_honours_extra_constraint(self, batch):
+        # Regression: the constraint reached the first search but not
+        # the tie sweep, which returned ties with pi[0] > 1 as well.
+        from repro.core import find_all_optima
+
+        optima = find_all_optima(
+            matrix_multiplication(6),
+            [[1, 1, -1]],
+            extra_constraint=lambda t: t.schedule[0] <= 1,
+            batch=batch,
+        )
+        assert [o.schedule.pi for o in optima] == [
+            (1, 2, 5), (1, 3, 4), (1, 4, 3), (1, 5, 2), (1, 6, 1)
+        ]

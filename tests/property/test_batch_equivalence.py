@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import matrix_multiplication, transitive_closure
-from repro.core.conflict import batch_distinct_image_counts
+from repro.core.conditions import check_conflict_free
+from repro.core.conflict import (
+    batch_distinct_image_counts,
+    batch_theorem_3_1,
+    conflict_functional_rows,
+)
 from repro.core.ilp_formulation import schedule_lower_bound
 from repro.core.optimize import (
     BatchCandidateScanner,
@@ -22,6 +27,7 @@ from repro.core.optimize import (
     procedure_5_1,
     ring_candidate_array,
 )
+from repro.core.mapping import MappingMatrix
 from repro.core.schedule import LinearSchedule
 from repro.core.symmetry import symmetry_group_for
 from repro.dse.executor import explore_schedule
@@ -197,6 +203,85 @@ class TestRingTally:
         assert batched._asdict() == scalar._asdict()
         if reject:
             assert hooks[0].seen == hooks[1].seen
+
+
+@st.composite
+def corank1_case(draw):
+    """A random co-rank-1 pair: ``S`` with ``n - 2`` rows, and ``Pi``."""
+    n = draw(st.integers(3, 5))
+    mu = tuple(draw(st.integers(1, 3 if n < 5 else 2)) for _ in range(n))
+    vec = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    space = [tuple(draw(vec)) for _ in range(n - 2)]
+    pi = tuple(draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    return mu, space, pi
+
+
+MATMUL_SIGNS = [(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+
+
+class TestCorank1ClosedForm:
+    """The co-rank-1 screen is Theorem 3.1 in closed form: its verdict
+    equals the image screen's and the exact decider's, rows past its
+    int64 certificate are promoted, and the search stays bit-identical
+    to the scalar reference."""
+
+    @given(corank1_case())
+    @settings(max_examples=150, deadline=None)
+    def test_verdict_matches_image_screen_and_exact(self, case):
+        mu, space, pi = case
+        t = MappingMatrix(space=space, schedule=pi)
+        if t.rank() != t.k:
+            return  # rank-deficient: pruned before any conflict screen
+        functionals = np.array(conflict_functional_rows(space, len(mu)), dtype=np.int64)
+        pis = np.array([pi], dtype=np.int64)
+        closed = bool(batch_theorem_3_1(pis, functionals, np.array(mu))[0])
+        pts = ConstantBoundedIndexSet(mu).points_array()
+        fixed = as_intmat(space).image_of_points(pts)
+        images, _ = batch_point_images(pts, pis)
+        count = batch_distinct_image_counts(fixed, images[:, :, None])[0]
+        assert closed == (count == len(pts))
+        assert closed == check_conflict_free(t, mu, method="exact").holds
+
+    @given(st.lists(st.integers(-2, 2), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_rows_past_the_threshold_are_promoted(self, offsets):
+        algo = matrix_multiplication(4)
+        space = ((1, 1, -1),)
+        functionals = conflict_functional_rows(space, 3)
+        thr = INT64_MAX // (3 * max(abs(x) for row in functionals for x in row) * 4)
+        rows = np.array(
+            [[1, thr + off, 2 * off + 1] for off in offsets], dtype=np.int64
+        )
+        scanner = BatchCandidateScanner(algo, space)
+        ok = scanner._screen(rows)
+        assert scanner.fastpath_promotions == sum(1 for off in offsets if off > 0)
+        assert scanner._pts is None  # no index points were ever built
+        for row, verdict in zip(rows.tolist(), ok.tolist()):
+            t = MappingMatrix(space=space, schedule=tuple(row))
+            assert verdict == check_conflict_free(t, algo.mu, method="exact").holds
+
+    @pytest.mark.parametrize("big", [2**40, 2**62, 2**64])
+    def test_huge_space_entries_match_scalar(self, big):
+        # Past 2^62 no row is certified (and past 2^63 F itself leaves
+        # int64): every screened row must take the exact scalar path.
+        algo = matrix_multiplication(3)
+        space = (as_intvec((big, 1, -1)),)
+        pis = ring_candidate_array(algo.mu, 12)
+        scanner = BatchCandidateScanner(algo, space)
+        assert scanner.tally(pis) == _scalar_tally(algo, space, pis)
+
+    @pytest.mark.parametrize(
+        "algo,space",
+        [(matrix_multiplication(24), (s,)) for s in MATMUL_SIGNS]
+        + [(transitive_closure(24), ((0, 0, s),)) for s in (1, -1)],
+        ids=lambda c: getattr(c, "name", None),
+    )
+    def test_search_matches_scalar_reference(self, algo, space):
+        batched = procedure_5_1(algo, space)
+        scalar = procedure_5_1(algo, space, batch=False)
+        assert batched == scalar
+        assert batched.verdict == scalar.verdict
+        assert batched.stats.counter_dict() == scalar.stats.counter_dict()
 
 
 EXAMPLES = [

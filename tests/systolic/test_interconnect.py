@@ -1,6 +1,8 @@
 """Unit tests for repro.systolic.interconnect (Def 2.2 condition 2)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MappingMatrix
 from repro.model import matrix_multiplication, transitive_closure
@@ -9,6 +11,7 @@ from repro.systolic import (
     nearest_neighbor_primitives,
     plan_interconnection,
 )
+from repro.systolic.interconnect import _route_ilp, _route_unit, _unit_columns
 
 
 class TestPrimitives:
@@ -184,3 +187,44 @@ class TestSingleUsePreference:
         plan = plan_interconnection(algo, t, primitives=[[1, -1]])
         assert plan.hops(0) == 2
         assert not plan.statically_collision_free()
+
+
+def _outcome(route, *args):
+    try:
+        return route(*args)
+    except RoutingError as exc:
+        return str(exc)
+
+
+@st.composite
+def unit_routing_case(draw):
+    """Unit-vector primitives (some columns possibly missing, any column
+    order), a displacement and a budget."""
+    dim = draw(st.integers(1, 3))
+    cols = [c for c in zip(*nearest_neighbor_primitives(dim))]
+    cols = draw(st.permutations(cols))[: draw(st.integers(1, 2 * dim))]
+    primitives = [[col[row] for col in cols] for row in range(dim)]
+    target = draw(st.lists(st.integers(-4, 4), min_size=dim, max_size=dim))
+    return primitives, target, draw(st.integers(0, 6))
+
+
+class TestClosedFormRouting:
+    """Unit-vector primitives route in closed form, exactly as the ILP."""
+
+    @given(unit_routing_case())
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_equals_ilp(self, case):
+        primitives, target, budget = case
+        if not any(target):
+            return  # the zero route never reaches either path
+        units = _unit_columns(primitives)
+        assert units is not None
+        assert _outcome(_route_unit, units, target, budget) == _outcome(
+            _route_ilp, primitives, target, budget
+        )
+
+    def test_non_unit_primitives_keep_the_ilp(self):
+        assert _unit_columns([[1, -1, 2, -2]]) is None
+        assert _unit_columns([[1, 1]]) is None  # duplicate column
+        assert _unit_columns([[1, 0], [1, 1]]) is None
+        assert _unit_columns(nearest_neighbor_primitives(2)) is not None
